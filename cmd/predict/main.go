@@ -59,7 +59,6 @@ func main() {
 	if err != nil {
 		fatalf("loading model: %v", err)
 	}
-	m.Compile() // run batch scoring on the flattened inference kernels
 
 	// flag.Visit sees only flags given on the command line, so an
 	// explicit -interval 0 is rejected by NormalizeCoverage rather than

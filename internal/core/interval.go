@@ -64,18 +64,11 @@ func (m *TwoLevelModel) PredictInterval(params []float64, q float64) []Interval 
 	qs := [2]float64{q, 1 - q}
 	var band [2]float64
 	var scratch []float64
-	ci := m.compiled.Load()
-	for i, f := range m.Interp {
-		if scratch == nil {
-			scratch = make([]float64, len(f.Trees))
+	for i, f := range m.compiled {
+		if n := f.E.NumTrees(); len(scratch) < n {
+			scratch = make([]float64, n)
 		}
-		var mid float64
-		if ci != nil {
-			// Compiled traversal; bit-identical to the pointer call below.
-			mid = ci.forests[i].PredictQuantilesInto(params, qs[:], scratch, band[:])
-		} else {
-			mid = f.PredictQuantilesInto(params, qs[:], scratch, band[:])
-		}
+		mid := f.PredictQuantilesInto(params, qs[:], scratch, band[:])
 		lo, hi := band[0], band[1]
 		if m.Cfg.LogInterpolation {
 			lo, mid, hi = math.Exp(lo), math.Exp(mid), math.Exp(hi)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/linmod"
 	"repro/internal/mat"
 	"repro/internal/rng"
+	"repro/internal/treec"
 )
 
 // TwoLevelModel is a fitted two-level performance model.
@@ -41,12 +41,10 @@ type TwoLevelModel struct {
 	TrainConfigs int
 	Anchors      int
 
-	// compiled holds the flattened form of Interp built by Compile; nil
-	// until compiled. Unexported (excluded from the JSON artifact) and
-	// atomic so hot-path readers race-freely observe a Compile issued
-	// after load. The pointer makes TwoLevelModel no-copy; all methods
-	// already use pointer receivers.
-	compiled atomic.Pointer[compiledInterp]
+	// compiled is the flattened treec form of Interp, aligned with it.
+	// Fit and Read build it before returning the model, so every
+	// prediction runs the compiled kernels; it never serializes.
+	compiled []*treec.Forest
 }
 
 // ClusterModel is one cluster's extrapolation model. Exactly one backend's
@@ -138,6 +136,7 @@ func Fit(r *rng.Source, table *dataset.Table, cfg Config) (*TwoLevelModel, error
 	if err := m.fitInterp(r, table); err != nil {
 		return nil, err
 	}
+	m.compile()
 
 	// ---- level 2 ----
 	if cfg.Mode == ModeAnchored {
@@ -206,6 +205,20 @@ func (m *TwoLevelModel) fitInterp(r *rng.Source, table *dataset.Table) error {
 	}
 	return nil
 }
+
+// compile flattens every interpolation forest into the treec layout.
+// Predictions are bit-identical to the pointer forests.
+func (m *TwoLevelModel) compile() {
+	m.compiled = make([]*treec.Forest, len(m.Interp))
+	for i, f := range m.Interp {
+		m.compiled[i] = treec.CompileForest(f)
+	}
+}
+
+// Compile is kept for source compatibility.
+//
+// Deprecated: Fit and Read compile; this does nothing.
+func (m *TwoLevelModel) Compile() {}
 
 // extrapCurve returns the extrapolation-level feature curve for training
 // config i: the interpolation level's predictions (deployment-consistent)
@@ -337,20 +350,10 @@ func (m *TwoLevelModel) PredictSmall(params []float64) []float64 {
 // at every small scale into dst (length len(Cfg.SmallScales)) and
 // returns it. The call performs no allocations.
 func (m *TwoLevelModel) PredictSmallInto(params, dst []float64) []float64 {
-	if len(dst) != len(m.Interp) {
-		panic(fmt.Sprintf("core: PredictSmallInto dst has %d entries, model has %d small scales", len(dst), len(m.Interp)))
+	if len(dst) != len(m.compiled) {
+		panic(fmt.Sprintf("core: PredictSmallInto dst has %d entries, model has %d small scales", len(dst), len(m.compiled)))
 	}
-	if ci := m.compiled.Load(); ci != nil {
-		for i, f := range ci.forests {
-			v := f.Predict(params)
-			if m.Cfg.LogInterpolation {
-				v = math.Exp(v)
-			}
-			dst[i] = v
-		}
-		return dst
-	}
-	for i, f := range m.Interp {
+	for i, f := range m.compiled {
 		v := f.Predict(params)
 		if m.Cfg.LogInterpolation {
 			v = math.Exp(v)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/tree"
 )
 
 // modelFileVersion guards against loading files written by incompatible
@@ -40,6 +42,7 @@ func Read(r io.Reader) (*TwoLevelModel, error) {
 	if err := f.Model.validateLoaded(); err != nil {
 		return nil, err
 	}
+	f.Model.compile()
 	return f.Model, nil
 }
 
@@ -105,6 +108,11 @@ func (m *TwoLevelModel) validateLoaded() error {
 			return fmt.Errorf("core: interpolation model %d expects %d features, model has %d params",
 				i, f.Features, len(m.ParamNames))
 		}
+		for j, t := range f.Trees {
+			if err := validateTree(t, f.Features); err != nil {
+				return fmt.Errorf("core: interpolation model %d tree %d: %w", i, j, err)
+			}
+		}
 	}
 	if len(m.ClusterModels) == 0 {
 		return fmt.Errorf("core: no cluster models")
@@ -145,6 +153,51 @@ func (m *TwoLevelModel) validateLoaded() error {
 	}
 	if err := m.Meta.Calibration.Validate(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// validateTree checks that t is a proper binary tree rooted at node 0
+// over features inputs: non-empty, every split's feature and children
+// in range, and every node reached exactly once from the root (no
+// cycles, shared children or unreachable nodes). Traversal, pointer or
+// compiled, may then assume it terminates without an index panic.
+func validateTree(t *tree.Tree, features int) error {
+	if t == nil || len(t.Nodes) == 0 {
+		return fmt.Errorf("empty tree")
+	}
+	if t.Features != features {
+		return fmt.Errorf("tree expects %d features, forest has %d", t.Features, features)
+	}
+	n := len(t.Nodes)
+	seen := make([]bool, n)
+	seen[0] = true
+	reached := 1
+	stack := []int32{0}
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := &t.Nodes[j]
+		if nd.Feature < 0 {
+			continue
+		}
+		if nd.Feature >= features {
+			return fmt.Errorf("node %d splits on feature %d, outside [0, %d)", j, nd.Feature, features)
+		}
+		for _, c := range [2]int32{nd.Left, nd.Right} {
+			if c < 0 || int(c) >= n {
+				return fmt.Errorf("node %d has child %d, outside [0, %d)", j, c, n)
+			}
+			if seen[c] {
+				return fmt.Errorf("node %d is reached twice (cycle or shared child)", c)
+			}
+			seen[c] = true
+			reached++
+			stack = append(stack, c)
+		}
+	}
+	if reached != n {
+		return fmt.Errorf("%d of %d nodes are unreachable from the root", n-reached, n)
 	}
 	return nil
 }

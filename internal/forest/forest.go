@@ -178,19 +178,13 @@ func (f *Forest) PredictBatch(x *mat.Dense, dst []float64) []float64 {
 	if len(dst) != x.Rows {
 		panic("forest: PredictBatch dst length mismatch")
 	}
-	f.predictRange(x, dst, 0, x.Rows)
-	return dst
-}
-
-// predictRange computes forest predictions for rows [lo, hi) into dst.
-func (f *Forest) predictRange(x *mat.Dense, dst []float64, lo, hi int) {
 	data := x.Data
 	cols := x.Cols
 	m := float64(len(f.Trees))
-	for b := lo; b < hi; b += predictBlock {
+	for b := 0; b < x.Rows; b += predictBlock {
 		be := b + predictBlock
-		if be > hi {
-			be = hi
+		if be > x.Rows {
+			be = x.Rows
 		}
 		for i := b; i < be; i++ {
 			dst[i] = 0
@@ -218,56 +212,7 @@ func (f *Forest) predictRange(x *mat.Dense, dst []float64, lo, hi int) {
 			dst[i] /= m
 		}
 	}
-}
-
-// PredictBatchParallel is PredictBatch fanned out over at most workers
-// goroutines (<= 0 means GOMAXPROCS), each owning a contiguous row
-// chunk. Every row's accumulation order is unchanged, so the output is
-// deterministic and bit-identical to the serial PredictBatch regardless
-// of worker count. Small batches run serially.
-func (f *Forest) PredictBatchParallel(x *mat.Dense, dst []float64, workers int) []float64 {
-	if x.Cols != f.Features {
-		panic(fmt.Sprintf("forest: predict with %d features, forest has %d", x.Cols, f.Features))
-	}
-	if dst == nil {
-		dst = make([]float64, x.Rows)
-	}
-	if len(dst) != x.Rows {
-		panic("forest: PredictBatch dst length mismatch")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := (x.Rows + workers - 1) / workers
-	if chunk < predictBlock {
-		chunk = predictBlock // not worth a goroutine per sub-block batch
-	}
-	if workers == 1 || chunk >= x.Rows {
-		f.predictRange(x, dst, 0, x.Rows)
-		return dst
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < x.Rows; lo += chunk {
-		hi := lo + chunk
-		if hi > x.Rows {
-			hi = x.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f.predictRange(x, dst, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 	return dst
-}
-
-// PredictQuantile returns the q-quantile of per-tree predictions for v,
-// a cheap prediction-uncertainty proxy.
-func (f *Forest) PredictQuantile(v []float64, q float64) float64 {
-	var dst [1]float64
-	f.PredictQuantilesInto(v, []float64{q}, nil, dst[:])
-	return dst[0]
 }
 
 // PredictQuantilesInto walks the ensemble once and fills dst[i] with the

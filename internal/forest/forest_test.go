@@ -139,9 +139,9 @@ func TestPredictQuantileOrdering(t *testing.T) {
 	p.Trees = 30
 	f := Fit(x, y, p, r)
 	v := x.Row(5)
-	lo := f.PredictQuantile(v, 0.1)
-	med := f.PredictQuantile(v, 0.5)
-	hi := f.PredictQuantile(v, 0.9)
+	var q [3]float64
+	f.PredictQuantilesInto(v, []float64{0.1, 0.5, 0.9}, nil, q[:])
+	lo, med, hi := q[0], q[1], q[2]
 	if !(lo <= med && med <= hi) {
 		t.Fatalf("quantiles not ordered: %v %v %v", lo, med, hi)
 	}
@@ -160,7 +160,7 @@ func TestPredictQuantilePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	f.PredictQuantile(x.Row(0), 1.5)
+	f.PredictQuantilesInto(x.Row(0), []float64{1.5}, nil, make([]float64, 1))
 }
 
 func TestPermutationImportanceFindsNoiseFeature(t *testing.T) {
@@ -272,23 +272,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-func TestPredictBatchParallelMatchesSerial(t *testing.T) {
-	r := rng.New(12)
-	x, y := friedman(r, 700) // several predictBlock chunks
-	p := Defaults()
-	p.Trees = 20
-	f := Fit(x, y, p, r)
-	serial := f.PredictBatch(x, nil)
-	for _, workers := range []int{0, 1, 2, 3, 7} {
-		par := f.PredictBatchParallel(x, make([]float64, x.Rows), workers)
-		for i := range serial {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d row %d: parallel %v != serial %v", workers, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
 func TestPredictBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under -race")
@@ -335,8 +318,10 @@ func TestPredictQuantilesIntoMatchesSingleCalls(t *testing.T) {
 		t.Fatalf("mean %v != Predict %v (must be bit-identical)", mean, f.Predict(probe))
 	}
 	for i, q := range qs {
-		if want := f.PredictQuantile(probe, q); dst[i] != want {
-			t.Fatalf("quantile %v: %v != PredictQuantile %v", q, dst[i], want)
+		var want [1]float64
+		f.PredictQuantilesInto(probe, []float64{q}, nil, want[:])
+		if dst[i] != want[0] {
+			t.Fatalf("quantile %v: %v != single-quantile call %v", q, dst[i], want[0])
 		}
 	}
 	// Nil scratch allocates internally but gives the same answers.

@@ -89,7 +89,6 @@ type Histogram struct {
 	bounds []time.Duration
 	counts []atomic.Int64 // len(bounds)+1, last = +Inf
 	sumNS  atomic.Int64
-	n      atomic.Int64
 }
 
 // Observe records one duration.
@@ -100,11 +99,17 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.counts[i].Add(1)
 	h.sumNS.Add(int64(d))
-	h.n.Add(1)
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 { return h.n.Load() }
+// Count returns the number of observations so far: the sum of the
+// buckets, so it always agrees with a bucket pass.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // BucketBound is a histogram upper bound in milliseconds that marshals
 // the +Inf overflow bucket as the explicit string "+Inf" instead of an
@@ -151,19 +156,16 @@ type HistogramSnapshot struct {
 	Buckets    []HistogramBucket `json:"buckets,omitempty"`
 }
 
-// Snapshot captures the histogram's current state. Counters are read
+// Snapshot captures the histogram's current state. Buckets are read
 // individually, so a snapshot taken during concurrent Observe calls is
 // a consistent-enough approximation (each bucket is exact at some
-// moment; the total may trail by in-flight updates).
+// moment; the sum may differ by in-flight updates). Count is the
+// cumulative +Inf bucket of the same pass, so the two always agree.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	sumNS := h.sumNS.Load()
 	s := HistogramSnapshot{
-		Count:      h.n.Load(),
 		SumSeconds: float64(sumNS) / float64(time.Second),
 		Buckets:    make([]HistogramBucket, 0, len(h.counts)),
-	}
-	if s.Count > 0 {
-		s.MeanMS = float64(sumNS) / float64(time.Millisecond) / float64(s.Count)
 	}
 	cum := int64(0)
 	for i := range h.counts {
@@ -173,6 +175,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			b.LeMS = BucketBound(float64(h.bounds[i]) / float64(time.Millisecond))
 		}
 		s.Buckets = append(s.Buckets, b)
+	}
+	s.Count = cum
+	if s.Count > 0 {
+		s.MeanMS = float64(sumNS) / float64(time.Millisecond) / float64(s.Count)
 	}
 	return s
 }
@@ -506,7 +512,9 @@ func (s *series) value() float64 {
 }
 
 // appendProm renders one histogram series: cumulative buckets with le
-// in seconds, then _sum and _count.
+// in seconds, then _sum and _count. _count is the +Inf bucket's
+// cumulative count from the same pass, never a separate read, so a
+// concurrent Observe cannot make the two disagree.
 func (h *Histogram) appendProm(buf []byte, name, sig string) []byte {
 	cum := int64(0)
 	for i := range h.counts {
@@ -539,7 +547,7 @@ func (h *Histogram) appendProm(buf []byte, name, sig string) []byte {
 	buf = append(buf, "_count"...)
 	buf = appendSig(buf, sig)
 	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, h.n.Load(), 10)
+	buf = strconv.AppendInt(buf, cum, 10)
 	return append(buf, '\n')
 }
 

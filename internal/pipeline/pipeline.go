@@ -285,10 +285,6 @@ func (p *Pipeline) fitCandidate(app string, gen int, train *dataset.Table) (*cor
 		return nil, err
 	}
 	m.Meta = core.ModelMeta{App: app, Generation: gen, TrainHash: TableHash(train)}
-	// Compile once here so gate evaluation, calibration, and — after
-	// promotion — serving all run the flattened inference kernels. The
-	// compiled form is derived state and stays out of the saved artifact.
-	m.Compile()
 	return m, nil
 }
 

@@ -175,13 +175,13 @@ func BenchmarkServePredictInterval(b *testing.B) {
 			pred := 50 + 10*r.Float64()
 			cal.Add(i%m.Clusters(), i%len(m.Cfg.LargeScales), pred, pred*(1+0.2*(r.Float64()-0.5)))
 		}
-		cm := m.Clone()
+		cm := *m
 		cm.Meta.Calibration = cal.Finish()
 		if cm.Meta.Calibration == nil {
 			b.Fatal("nil calibration")
 		}
 		reg := NewRegistry()
-		reg.Install("default", cm)
+		reg.Install("default", &cm)
 		run(b, New(reg, Options{CacheSize: 16}))
 	})
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // Cache is an LRU cache with single-flight deduplication: concurrent
-// Do calls for the same missing key run the compute function once and
+// DoBytes calls for the same missing key run the compute function once and
 // share its result. Keys embed the model version (see predictKey), so a
 // hot-swap naturally invalidates stale results without an explicit
-// flush. A capacity <= 0 disables caching entirely (Do always computes).
+// flush. A capacity <= 0 disables caching entirely (DoBytes always
+// computes).
 type Cache struct {
 	capacity int
 
@@ -53,7 +54,8 @@ func NewCache(capacity int) *Cache {
 }
 
 // Get returns the cached value for key, marking it most recently used.
-// It does not touch the hit/miss counters; Do is the accounting path.
+// It does not touch the hit/miss counters; DoBytes is the accounting
+// path.
 func (c *Cache) Get(key string) (any, bool) {
 	if c.capacity <= 0 {
 		return nil, false
@@ -68,12 +70,17 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*cacheItem).val, true
 }
 
-// Do returns the cached value for key, or runs fn exactly once across
-// all concurrent callers of the same key and caches its result. The
-// second return reports whether the value came from the cache (a
+// DoBytes returns the cached value for key, or runs fn exactly once
+// across all concurrent callers of the same key and caches its result.
+// The second return reports whether the value came from the cache (a
 // coalesced caller that waited on another goroutine's computation also
 // reports true — it did not compute). Errors are returned to every
 // waiter and never cached.
+//
+// The key is built in a reusable byte buffer: the hit path looks it up
+// without converting it to a string, so a cache hit performs no key
+// allocation; the key bytes are only copied (once) on the miss/coalesce
+// path. The buffer may be reused immediately after return.
 //
 // ctx bounds only the coalesced wait: a caller whose context ends while
 // another goroutine computes the same key returns ctx.Err() immediately
@@ -81,45 +88,22 @@ func (c *Cache) Get(key string) (any, bool) {
 // goroutine itself always runs fn to completion (the result is still
 // valuable to the cache and to other waiters), so fn needs no
 // cancellation plumbing of its own.
-func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any, bool, error) {
-	return c.do(ctx, key, nil, fn)
-}
-
-// DoBytes is Do for a key built in a reusable byte buffer. The hit path
-// looks the key up without converting it to a string, so a cache hit
-// performs no key allocation; the key bytes are only copied (once) on
-// the miss/coalesce path. The buffer may be reused immediately after
-// return.
 func (c *Cache) DoBytes(ctx context.Context, key []byte, fn func() (any, error)) (any, bool, error) {
-	return c.do(ctx, "", key, fn)
-}
-
-// do implements Do/DoBytes. Exactly one of skey/bkey is the key: bkey
-// when non-nil, else skey.
-func (c *Cache) do(ctx context.Context, skey string, bkey []byte, fn func() (any, error)) (any, bool, error) {
 	if c.capacity <= 0 {
 		c.misses.Add(1)
 		v, err := fn()
 		return v, false, err
 	}
 	c.mu.Lock()
-	if bkey != nil {
-		// string(bkey) in a map index does not allocate.
-		if el, ok := c.items[string(bkey)]; ok {
-			c.ll.MoveToFront(el)
-			v := el.Value.(*cacheItem).val
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return v, true, nil
-		}
-		skey = string(bkey) // miss: materialize the key once
-	} else if el, ok := c.items[skey]; ok {
+	// string(key) in a map index does not allocate.
+	if el, ok := c.items[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		v := el.Value.(*cacheItem).val
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return v, true, nil
 	}
+	skey := string(key) // miss: materialize the key once
 	if fl, ok := c.inflight[skey]; ok {
 		c.mu.Unlock()
 		c.coalesced.Add(1)

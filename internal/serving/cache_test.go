@@ -17,13 +17,13 @@ func constant(v any) func() (any, error) {
 
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(4)
-	v, hit, err := c.Do(context.Background(), "a", constant(1))
+	v, hit, err := c.DoBytes(context.Background(), []byte("a"), constant(1))
 	if err != nil || hit || v != 1 {
-		t.Fatalf("first Do = %v, %v, %v", v, hit, err)
+		t.Fatalf("first DoBytes = %v, %v, %v", v, hit, err)
 	}
-	v, hit, err = c.Do(context.Background(), "a", constant(2))
+	v, hit, err = c.DoBytes(context.Background(), []byte("a"), constant(2))
 	if err != nil || !hit || v != 1 {
-		t.Fatalf("second Do = %v, %v, %v (want cached 1)", v, hit, err)
+		t.Fatalf("second DoBytes = %v, %v, %v (want cached 1)", v, hit, err)
 	}
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.Size != 1 {
@@ -33,10 +33,10 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Do(context.Background(), "a", constant(1))
-	c.Do(context.Background(), "b", constant(2))
-	c.Do(context.Background(), "a", constant(0)) // touch a; b becomes LRU
-	c.Do(context.Background(), "c", constant(3)) // evicts b
+	c.DoBytes(context.Background(), []byte("a"), constant(1))
+	c.DoBytes(context.Background(), []byte("b"), constant(2))
+	c.DoBytes(context.Background(), []byte("a"), constant(0)) // touch a; b becomes LRU
+	c.DoBytes(context.Background(), []byte("c"), constant(3)) // evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived eviction")
 	}
@@ -53,10 +53,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	fn := func() (any, error) { calls++; return nil, boom }
-	if _, _, err := c.Do(context.Background(), "k", fn); !errors.Is(err, boom) {
+	if _, _, err := c.DoBytes(context.Background(), []byte("k"), fn); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := c.Do(context.Background(), "k", fn); !errors.Is(err, boom) {
+	if _, _, err := c.DoBytes(context.Background(), []byte("k"), fn); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if calls != 2 {
@@ -78,19 +78,21 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do(context.Background(), "hot", func() (any, error) {
+			v, _, err := c.DoBytes(context.Background(), []byte("hot"), func() (any, error) {
 				computes.Add(1)
 				<-release // hold every concurrent caller in the miss window
 				return "value", nil
 			})
 			if err != nil {
-				t.Errorf("Do: %v", err)
+				t.Errorf("DoBytes: %v", err)
 			}
 			results[i] = v
 		}(i)
 	}
-	// Wait until the leader is inside fn, then let everyone pile up.
-	for computes.Load() == 0 {
+	// Hold the leader inside fn until every other caller has joined its
+	// flight; releasing earlier lets a late caller take a cache hit
+	// instead of coalescing.
+	for c.Stats().Coalesced < waiters-1 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -119,7 +121,7 @@ func TestCacheCoalescedWaitAbandonsOnCancel(t *testing.T) {
 	release := make(chan struct{})
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", func() (any, error) {
+		_, _, err := c.DoBytes(context.Background(), []byte("k"), func() (any, error) {
 			close(inFn)
 			<-release
 			return "v", nil
@@ -131,7 +133,7 @@ func TestCacheCoalescedWaitAbandonsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(ctx, "k", func() (any, error) {
+		_, _, err := c.DoBytes(ctx, []byte("k"), func() (any, error) {
 			t.Error("coalesced waiter recomputed the key")
 			return nil, nil
 		})
@@ -167,8 +169,8 @@ func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0)
 	calls := 0
 	fn := func() (any, error) { calls++; return calls, nil }
-	c.Do(context.Background(), "k", fn)
-	v, hit, _ := c.Do(context.Background(), "k", fn)
+	c.DoBytes(context.Background(), []byte("k"), fn)
+	v, hit, _ := c.DoBytes(context.Background(), []byte("k"), fn)
 	if hit || v != 2 || calls != 2 {
 		t.Fatalf("disabled cache served a hit: v=%v hit=%v calls=%d", v, hit, calls)
 	}
@@ -180,13 +182,13 @@ func TestCacheDisabled(t *testing.T) {
 func TestCachePurge(t *testing.T) {
 	c := NewCache(8)
 	for i := 0; i < 5; i++ {
-		c.Do(context.Background(), fmt.Sprint(i), constant(i))
+		c.DoBytes(context.Background(), []byte(fmt.Sprint(i)), constant(i))
 	}
 	c.Purge()
 	if c.Len() != 0 {
 		t.Fatalf("Len() = %d after Purge", c.Len())
 	}
-	if _, hit, _ := c.Do(context.Background(), "1", constant("fresh")); hit {
+	if _, hit, _ := c.DoBytes(context.Background(), []byte("1"), constant("fresh")); hit {
 		t.Fatal("hit after Purge")
 	}
 }
@@ -200,9 +202,9 @@ func TestCacheConcurrentMixed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprint(i % 48) // wider than capacity: exercises eviction
-				v, _, err := c.Do(context.Background(), key, constant(key))
+				v, _, err := c.DoBytes(context.Background(), []byte(key), constant(key))
 				if err != nil || v != key {
-					t.Errorf("Do(%s) = %v, %v", key, v, err)
+					t.Errorf("DoBytes(%s) = %v, %v", key, v, err)
 					return
 				}
 			}

@@ -246,12 +246,6 @@ type ModelInfo struct {
 	TrainConfigs int       `json:"train_configs"`
 	Anchors      int       `json:"anchors"`
 
-	// Compiled reports whether the entry serves through the flattened
-	// treec inference kernels (registry loads and installs compile
-	// unconditionally, so this is false only for entries published
-	// through paths that predate compilation).
-	Compiled bool `json:"compiled"`
-
 	// Calibrated reports whether the generation carries split-conformal
 	// calibration (interval requests answer with a coverage guarantee);
 	// CalibrationSamples is its total holdout residual count.
@@ -276,7 +270,6 @@ func modelInfo(e *Entry) ModelInfo {
 		Clusters:     m.Clusters(),
 		TrainConfigs: m.TrainConfigs,
 		Anchors:      m.Anchors,
-		Compiled:     m.Compiled(),
 
 		Calibrated:         m.Meta.Calibration != nil,
 		CalibrationSamples: calSamples,
