@@ -185,25 +185,36 @@ func (c Config) normalize() (Config, error) {
 	if c.Forest.Trees <= 0 {
 		c.Forest = d.Forest
 	}
+	return c, c.checkScales()
+}
+
+// checkScales validates the scale lists every fitted model relies on: at
+// least four strictly ascending small scales >= 1, and strictly
+// ascending large scales all above them. Read applies it to loaded
+// models too, where the lists come from the file.
+func (c Config) checkScales() error {
+	if len(c.SmallScales) == 0 || len(c.LargeScales) == 0 {
+		return fmt.Errorf("core: %d small and %d large scales; need both", len(c.SmallScales), len(c.LargeScales))
+	}
 	for i := 1; i < len(c.SmallScales); i++ {
 		if c.SmallScales[i] <= c.SmallScales[i-1] {
-			return c, fmt.Errorf("core: SmallScales not strictly ascending: %v", c.SmallScales)
+			return fmt.Errorf("core: SmallScales not strictly ascending: %v", c.SmallScales)
 		}
 	}
 	if c.SmallScales[0] < 1 {
-		return c, fmt.Errorf("core: SmallScales must be >= 1: %v", c.SmallScales)
+		return fmt.Errorf("core: SmallScales must be >= 1: %v", c.SmallScales)
 	}
 	for i := 1; i < len(c.LargeScales); i++ {
 		if c.LargeScales[i] <= c.LargeScales[i-1] {
-			return c, fmt.Errorf("core: LargeScales not strictly ascending: %v", c.LargeScales)
+			return fmt.Errorf("core: LargeScales not strictly ascending: %v", c.LargeScales)
 		}
 	}
 	if c.LargeScales[0] <= c.SmallScales[len(c.SmallScales)-1] {
-		return c, fmt.Errorf("core: largest small scale %d not below smallest large scale %d",
+		return fmt.Errorf("core: largest small scale %d not below smallest large scale %d",
 			c.SmallScales[len(c.SmallScales)-1], c.LargeScales[0])
 	}
 	if len(c.SmallScales) < 4 {
-		return c, fmt.Errorf("core: need at least four small scales, got %d", len(c.SmallScales))
+		return fmt.Errorf("core: need at least four small scales, got %d", len(c.SmallScales))
 	}
-	return c, nil
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/mat"
 	"repro/internal/tree"
 )
 
@@ -97,6 +98,13 @@ func Load(path string) (*TwoLevelModel, error) {
 // validateLoaded sanity-checks structural invariants after deserialization
 // so a corrupt file fails at load time, not at first prediction.
 func (m *TwoLevelModel) validateLoaded() error {
+	if err := m.Cfg.checkScales(); err != nil {
+		return err
+	}
+	if m.Cfg.Mode == ModeBasis && (len(m.Cfg.Basis) == 0 || m.Cfg.MaxTerms < 1 || m.Cfg.MaxTerms >= len(m.Cfg.SmallScales)) {
+		return fmt.Errorf("core: basis model with %d terms and MaxTerms %d for %d small scales",
+			len(m.Cfg.Basis), m.Cfg.MaxTerms, len(m.Cfg.SmallScales))
+	}
 	if len(m.Interp) != len(m.Cfg.SmallScales) {
 		return fmt.Errorf("core: %d interpolation models for %d small scales", len(m.Interp), len(m.Cfg.SmallScales))
 	}
@@ -127,9 +135,25 @@ func (m *TwoLevelModel) validateLoaded() error {
 				return fmt.Errorf("core: anchored cluster %d has %d tasks for %d large scales",
 					i, cm.Multi.Tasks, len(m.Cfg.LargeScales))
 			}
+			if cm.Multi != nil {
+				if err := checkDense(fmt.Sprintf("anchored cluster %d coef", i), cm.Multi.Coef,
+					len(m.Cfg.SmallScales), len(m.Cfg.LargeScales)); err != nil {
+					return err
+				}
+				if len(cm.Multi.Intercept) != cm.Multi.Tasks {
+					return fmt.Errorf("core: anchored cluster %d has %d intercepts for %d tasks",
+						i, len(cm.Multi.Intercept), cm.Multi.Tasks)
+				}
+			}
 			if cm.Single != nil && len(cm.Single) != len(m.Cfg.LargeScales) {
 				return fmt.Errorf("core: anchored cluster %d has %d single-task models for %d large scales",
 					i, len(cm.Single), len(m.Cfg.LargeScales))
+			}
+			for t, mdl := range cm.Single {
+				if mdl == nil || len(mdl.Coef) != len(m.Cfg.SmallScales) {
+					return fmt.Errorf("core: anchored cluster %d single-task model %d does not take %d small-scale features",
+						i, t, len(m.Cfg.SmallScales))
+				}
 			}
 		case ModeBasis:
 			for _, j := range cm.Support {
@@ -145,14 +169,33 @@ func (m *TwoLevelModel) validateLoaded() error {
 			return fmt.Errorf("core: loaded model has unresolved mode %q", m.Cfg.Mode)
 		}
 	}
-	if m.Centroids != nil && m.Centroids.Rows != len(m.ClusterModels) {
-		return fmt.Errorf("core: %d centroids for %d cluster models", m.Centroids.Rows, len(m.ClusterModels))
+	if m.Centroids != nil {
+		if err := checkDense("centroids", m.Centroids, len(m.ClusterModels), len(m.Cfg.SmallScales)); err != nil {
+			return err
+		}
 	}
 	if m.Centroids == nil && len(m.ClusterModels) != 1 {
 		return fmt.Errorf("core: multiple cluster models without centroids")
 	}
 	if err := m.Meta.Calibration.Validate(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkDense reports whether a decoded matrix has the rows × cols shape
+// its reader indexes it by, and a data slice of exactly that length:
+// Dense.Row slices by Cols, so a short slice would read past its end
+// (into capacity, silently) and a wrong Cols would misalign every row.
+func checkDense(name string, d *mat.Dense, rows, cols int) error {
+	if d == nil {
+		return fmt.Errorf("core: %s matrix is missing", name)
+	}
+	if d.Rows != rows || d.Cols != cols {
+		return fmt.Errorf("core: %s matrix is %dx%d, want %dx%d", name, d.Rows, d.Cols, rows, cols)
+	}
+	if len(d.Data) != rows*cols {
+		return fmt.Errorf("core: %s matrix holds %d values for %dx%d", name, len(d.Data), rows, cols)
 	}
 	return nil
 }

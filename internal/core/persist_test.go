@@ -199,3 +199,122 @@ func TestReadRejectsMalformedTrees(t *testing.T) {
 		})
 	}
 }
+
+// fitClustered returns an anchored model with several clusters (so it
+// carries centroids and one multitask model per cluster), plus one
+// in-space configuration.
+func fitClustered(t *testing.T) (*TwoLevelModel, []float64) {
+	t.Helper()
+	cfg := smallCfg()
+	cfg.Forest.Trees = 10
+	train, test := simTables(t, 5, 200, 80, 1, cfg)
+	m, err := Fit(rng.New(7), train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Mode() != ModeAnchored || m.Centroids == nil || m.ClusterModels[0].Multi == nil {
+		t.Fatalf("fixture is %s with %d clusters, want anchored multitask with centroids", m.Mode(), m.Clusters())
+	}
+	return m, test.GroupByConfig()[0].Params
+}
+
+// TestReadRejectsMalformedShapes feeds Read model files whose centroid
+// or extrapolation matrices, or whose scale lists and basis settings,
+// have been damaged in one way each. Dense.Row slices by Cols, so a
+// short Data slice silently reads past its end and a wrong Cols either
+// misaligns every row or panics at the first prediction; the scale and
+// basis cases panic at the first prediction. Each case must come back
+// from Read as an error naming it.
+func TestReadRejectsMalformedShapes(t *testing.T) {
+	m, p := fitClustered(t)
+	var raw bytes.Buffer
+	if err := m.Write(&raw); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, want string
+		damage     func(m *TwoLevelModel)
+	}{
+		{"centroids data short", "centroids matrix holds", func(m *TwoLevelModel) {
+			m.Centroids.Data = m.Centroids.Data[:len(m.Centroids.Data)-1]
+		}},
+		{"centroids data long", "centroids matrix holds", func(m *TwoLevelModel) {
+			m.Centroids.Data = append(m.Centroids.Data, 1)
+		}},
+		{"centroids cols", "centroids matrix is", func(m *TwoLevelModel) { m.Centroids.Cols++ }},
+		{"centroids rows", "centroids matrix is", func(m *TwoLevelModel) { m.Centroids.Rows++ }},
+		{"coef missing", "coef matrix is missing", func(m *TwoLevelModel) { m.ClusterModels[1].Multi.Coef = nil }},
+		{"coef data short", "coef matrix holds", func(m *TwoLevelModel) {
+			c := m.ClusterModels[1].Multi.Coef
+			c.Data = c.Data[:len(c.Data)-1]
+		}},
+		{"coef rows", "coef matrix is", func(m *TwoLevelModel) { m.ClusterModels[1].Multi.Coef.Rows++ }},
+		{"coef cols", "coef matrix is", func(m *TwoLevelModel) { m.ClusterModels[1].Multi.Coef.Cols-- }},
+		{"intercepts", "intercepts for", func(m *TwoLevelModel) {
+			mt := m.ClusterModels[1].Multi
+			mt.Intercept = mt.Intercept[:len(mt.Intercept)-1]
+		}},
+		{"no small scales", "0 small and", func(m *TwoLevelModel) { m.Cfg.SmallScales = nil }},
+		{"few small scales", "at least four small scales", func(m *TwoLevelModel) { m.Cfg.SmallScales = []int{2, 4, 8} }},
+		{"small scales unsorted", "SmallScales not strictly ascending", func(m *TwoLevelModel) {
+			m.Cfg.SmallScales[0], m.Cfg.SmallScales[1] = m.Cfg.SmallScales[1], m.Cfg.SmallScales[0]
+		}},
+		{"large scale below small", "not below smallest large scale", func(m *TwoLevelModel) { m.Cfg.LargeScales[0] = 0 }},
+		{"basis without terms", "basis model with 0 terms", func(m *TwoLevelModel) {
+			m.Cfg.Mode = ModeBasis
+			m.Cfg.Basis = nil
+		}},
+		{"basis max terms", "basis model with", func(m *TwoLevelModel) {
+			m.Cfg.Mode = ModeBasis
+			m.Cfg.MaxTerms = -1
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var f modelFile
+			if err := json.Unmarshal(raw.Bytes(), &f); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(f.Model)
+			damaged, err := json.Marshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Read(bytes.NewReader(damaged))
+			if err == nil {
+				t.Fatalf("Read accepted the damaged file; Predict gives %v", got.Predict(p))
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Read = %v, want an error about %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// fuzzParams is an in-range smg2000 configuration (nx, ny, nz, iters),
+// the application every seed model file was trained on.
+var fuzzParams = []float64{240, 160, 96, 28}
+
+// FuzzRead holds Read to its contract on arbitrary bytes: it returns an
+// error, or a model on which Predict, PredictIntervalCov and
+// AssignCluster run without panicking for an in-range configuration.
+// The seed corpus (testdata/fuzz/FuzzRead) holds a small anchored file
+// with centroids and a calibration, a basis file, damaged matrices of
+// the anchored file, and basis files with damaged scale lists or basis
+// settings that once panicked at the first prediction; `go test`
+// replays it and `go test -fuzz` digs.
+func FuzzRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		params := make([]float64, len(m.ParamNames))
+		for i := range params {
+			params[i] = fuzzParams[i%len(fuzzParams)]
+		}
+		m.Predict(params)
+		m.PredictIntervalCov(params, 0.9)
+		m.AssignCluster(params)
+	})
+}

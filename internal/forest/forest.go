@@ -48,10 +48,6 @@ func Defaults() Params {
 type Forest struct {
 	Trees    []*tree.Tree `json:"trees"`
 	Features int          `json:"features"`
-	// OOBIndices[i] lists, per tree, the rows NOT in its bootstrap sample.
-	// Kept for OOB error estimation; may be nil after deserialization.
-	OOBIndices [][]int `json:"-"`
-	trainRows  int
 }
 
 // Fit trains a forest on x, y using randomness from r.
@@ -76,10 +72,8 @@ func Fit(x *mat.Dense, y []float64, p Params, r *rng.Source) *Forest {
 	tp.MaxFeatures = mf
 
 	f := &Forest{
-		Trees:      make([]*tree.Tree, p.Trees),
-		Features:   x.Cols,
-		OOBIndices: make([][]int, p.Trees),
-		trainRows:  x.Rows,
+		Trees:    make([]*tree.Tree, p.Trees),
+		Features: x.Cols,
 	}
 
 	// Pre-split one RNG per tree so the fit is deterministic under any
@@ -106,13 +100,11 @@ func Fit(x *mat.Dense, y []float64, p Params, r *rng.Source) *Forest {
 			// cache) and one bootstrap buffer for all the trees it grows,
 			// so a fit allocates O(trees), not O(nodes·features).
 			ft := tree.NewFitter()
-			in := make([]bool, x.Rows)
 			var boot []int
 			for i := range next {
 				src := sources[i]
 				boot = src.Bootstrap(boot, x.Rows)
 				f.Trees[i] = ft.FitIndices(x, y, boot, tp, src)
-				f.OOBIndices[i] = oob(boot, in)
 			}
 		}()
 	}
@@ -122,29 +114,6 @@ func Fit(x *mat.Dense, y []float64, p Params, r *rng.Source) *Forest {
 	close(next)
 	wg.Wait()
 	return f
-}
-
-// oob returns the sorted row indices absent from the bootstrap sample.
-// The caller provides an all-false mask of len(in) == dataset rows, which
-// is reused across calls and returned all-false again.
-func oob(boot []int, in []bool) []int {
-	distinct := 0
-	for _, i := range boot {
-		if !in[i] {
-			in[i] = true
-			distinct++
-		}
-	}
-	out := make([]int, 0, len(in)-distinct)
-	for i := range in {
-		if !in[i] {
-			out = append(out, i)
-		}
-	}
-	for _, i := range boot {
-		in[i] = false
-	}
-	return out
 }
 
 // Predict returns the forest prediction (mean over trees) for v.
@@ -262,68 +231,4 @@ func (f *Forest) PredictQuantilesInto(v, qs, preds, dst []float64) float64 {
 		dst[i] = preds[lo]*(1-frac) + preds[hi]*frac
 	}
 	return mean
-}
-
-// OOBError returns the out-of-bag mean squared error, the forest's internal
-// generalization estimate. It returns NaN when no row was ever out of bag
-// (only possible for tiny forests) or OOB bookkeeping is unavailable.
-func (f *Forest) OOBError(x *mat.Dense, y []float64) float64 {
-	if f.OOBIndices == nil {
-		return math.NaN()
-	}
-	sum := make([]float64, x.Rows)
-	cnt := make([]int, x.Rows)
-	for t, idxs := range f.OOBIndices {
-		for _, i := range idxs {
-			sum[i] += f.Trees[t].Predict(x.Row(i))
-			cnt[i]++
-		}
-	}
-	var mse float64
-	n := 0
-	for i := 0; i < x.Rows; i++ {
-		if cnt[i] == 0 {
-			continue
-		}
-		d := sum[i]/float64(cnt[i]) - y[i]
-		mse += d * d
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return mse / float64(n)
-}
-
-// PermutationImportance estimates feature importance by the increase in
-// prediction MSE on (x, y) when each column is permuted. Larger is more
-// important. The same permutation source r is used for all features.
-func (f *Forest) PermutationImportance(x *mat.Dense, y []float64, r *rng.Source) []float64 {
-	base := mse(f, x, y)
-	imp := make([]float64, x.Cols)
-	col := make([]float64, x.Rows)
-	xp := x.Clone()
-	for j := 0; j < x.Cols; j++ {
-		for i := 0; i < x.Rows; i++ {
-			col[i] = x.At(i, j)
-		}
-		perm := r.Perm(x.Rows)
-		for i := 0; i < x.Rows; i++ {
-			xp.Set(i, j, col[perm[i]])
-		}
-		imp[j] = mse(f, xp, y) - base
-		for i := 0; i < x.Rows; i++ { // restore column
-			xp.Set(i, j, col[i])
-		}
-	}
-	return imp
-}
-
-func mse(f *Forest, x *mat.Dense, y []float64) float64 {
-	var s float64
-	for i := 0; i < x.Rows; i++ {
-		d := f.Predict(x.Row(i)) - y[i]
-		s += d * d
-	}
-	return s / float64(x.Rows)
 }

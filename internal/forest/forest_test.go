@@ -94,44 +94,6 @@ func TestBaggingReducesVariance(t *testing.T) {
 	}
 }
 
-func TestOOBErrorTracksTestError(t *testing.T) {
-	r := rng.New(9)
-	xTr, yTr := friedman(r, 400)
-	xTe, yTe := friedman(r, 400)
-	p := Defaults()
-	p.Trees = 80
-	f := Fit(xTr, yTr, p, r)
-	oobMSE := f.OOBError(xTr, yTr)
-	pred := f.PredictBatch(xTe, nil)
-	testMSE := stats.RMSE(yTe, pred)
-	testMSE *= testMSE
-	if math.IsNaN(oobMSE) {
-		t.Fatal("OOB error is NaN")
-	}
-	// OOB should be the right order of magnitude (within 3x of test MSE)
-	if oobMSE > 3*testMSE || testMSE > 3*oobMSE {
-		t.Fatalf("OOB MSE %v vs test MSE %v diverge", oobMSE, testMSE)
-	}
-}
-
-func TestOOBIndicesDisjointFromBootstrap(t *testing.T) {
-	r := rng.New(11)
-	x, y := friedman(r, 50)
-	p := Defaults()
-	p.Trees = 5
-	f := Fit(x, y, p, r)
-	for ti, idxs := range f.OOBIndices {
-		if len(idxs) == 0 {
-			t.Fatalf("tree %d has no OOB rows (unexpected for n=50)", ti)
-		}
-		for _, i := range idxs {
-			if i < 0 || i >= 50 {
-				t.Fatalf("OOB index %d out of range", i)
-			}
-		}
-	}
-}
-
 func TestPredictQuantileOrdering(t *testing.T) {
 	r := rng.New(13)
 	x, y := friedman(r, 200)
@@ -161,38 +123,6 @@ func TestPredictQuantilePanics(t *testing.T) {
 		}
 	}()
 	f.PredictQuantilesInto(x.Row(0), []float64{1.5}, nil, make([]float64, 1))
-}
-
-func TestPermutationImportanceFindsNoiseFeature(t *testing.T) {
-	r := rng.New(15)
-	x, y := friedman(r, 400)
-	p := Defaults()
-	p.Trees = 60
-	f := Fit(x, y, p, r)
-	imp := f.PermutationImportance(x, y, r)
-	// feature 5 is pure noise: its importance must be the smallest (or near 0)
-	for j := 0; j < 5; j++ {
-		if imp[5] > imp[j] {
-			t.Fatalf("noise feature importance %v exceeds real feature %d (%v)", imp[5], j, imp[j])
-		}
-	}
-	// feature 3 (strong linear term) should matter
-	if imp[3] <= 0 {
-		t.Fatalf("importance of informative feature 3 = %v", imp[3])
-	}
-}
-
-func TestPermutationImportanceRestoresMatrix(t *testing.T) {
-	r := rng.New(16)
-	x, y := friedman(r, 100)
-	orig := x.Clone()
-	p := Defaults()
-	p.Trees = 10
-	f := Fit(x, y, p, r)
-	f.PermutationImportance(x, y, r)
-	if !mat.Equalish(x, orig, 0) {
-		t.Fatal("PermutationImportance corrupted the input matrix")
-	}
 }
 
 func TestPredictDimensionPanics(t *testing.T) {

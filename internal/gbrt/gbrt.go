@@ -173,15 +173,3 @@ func (m *Model) PredictBatch(x *mat.Dense, dst []float64) []float64 {
 	}
 	return dst
 }
-
-// Staged returns the model's prediction for v after each boosting stage,
-// useful for selecting the round count by validation error.
-func (m *Model) Staged(v []float64) []float64 {
-	out := make([]float64, len(m.Trees))
-	s := m.Base
-	for i, t := range m.Trees {
-		s += m.Shrinkage * t.Predict(v)
-		out[i] = s
-	}
-	return out
-}

@@ -68,21 +68,6 @@ func TestBasePredictionIsMean(t *testing.T) {
 	}
 }
 
-func TestStagedMonotoneLength(t *testing.T) {
-	r := rng.New(5)
-	x, y := waveData(r, 150)
-	p := Defaults()
-	p.Rounds = 30
-	m := Fit(x, y, p, nil)
-	st := m.Staged(x.Row(0))
-	if len(st) != 30 {
-		t.Fatalf("staged length %d", len(st))
-	}
-	if st[len(st)-1] != m.Predict(x.Row(0)) {
-		t.Fatal("last staged value != Predict")
-	}
-}
-
 func TestSubsampleRequiresRNG(t *testing.T) {
 	r := rng.New(6)
 	x, y := waveData(r, 50)

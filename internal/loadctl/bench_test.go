@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkAcquireRelease measures the uncontended admit/release cycle —
-// the cost added to every cache-hit prediction. The fast path must not
-// allocate (the serving layer's alloc budget depends on it).
+// the cost added to every cache-hit prediction. It is for manual timing;
+// TestFastPathZeroAllocs holds the zero-allocation contract.
 func BenchmarkAcquireRelease(b *testing.B) {
 	c := New(Config{InitialLimit: 64, FixedLimit: true})
 	b.ReportAllocs()

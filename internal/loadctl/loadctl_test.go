@@ -66,6 +66,27 @@ func TestFastPathAdmitsUnderLimit(t *testing.T) {
 	}
 }
 
+// TestFastPathZeroAllocs holds the admission contract the serving
+// layer's allocation budget depends on: an uncontended Acquire/Release
+// cycle, with a fixed or an adaptive limit, makes no allocations.
+func TestFastPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	for _, fixed := range []bool{true, false} {
+		c := New(Config{InitialLimit: 64, FixedLimit: fixed})
+		n := testing.AllocsPerRun(1000, func() {
+			if w, shed := c.Acquire(Point, 0); w != nil || shed != nil {
+				t.Fatalf("fast path not taken: w=%v shed=%v", w, shed)
+			}
+			c.Release(time.Millisecond)
+		})
+		if n != 0 {
+			t.Fatalf("fixed=%v: Acquire/Release allocates %v per cycle, want 0", fixed, n)
+		}
+	}
+}
+
 func TestPriorityGrantOrder(t *testing.T) {
 	c := New(cfg()) // limit 1
 	acquireNow(t, c, Point)

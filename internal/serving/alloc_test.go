@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestCacheHitAllocBudget is the allocation-regression gate for the
@@ -49,6 +51,42 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	}
 	if len(resp.Results) != 1 || !resp.Results[0].Cached {
 		t.Fatalf("expected one cached result, got %+v", resp.Results)
+	}
+}
+
+// TestTracingAllocOverhead holds the observability cost contract as a
+// count: request tracing may add at most two allocations to a warm
+// cache hit over the same hit with tracing disabled — the minted request
+// ID and its response header value; spans go to pooled per-request
+// state and reused ring slots. An allocation count does
+// not move with machine load, unlike a wall-clock ratio of two sub-10µs
+// timings; BenchmarkObsServePredict remains for timing the pair by hand.
+func TestTracingAllocOverhead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	m, params := testModel(t)
+	body, err := json.Marshal(PredictRequest{Params: params[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(opts Options) float64 {
+		reg := NewRegistry()
+		reg.Install("default", m)
+		d := newServeOnce(New(reg, opts))
+		// Warm past the miss that populates the cache and past one lap of
+		// the trace ring, whose slots keep their span arrays once filled.
+		for i := 0; i <= obs.DefaultTraceCapacity; i++ {
+			d.do(t, body)
+		}
+		return testing.AllocsPerRun(50, func() { d.do(t, body) })
+	}
+	untraced := allocs(Options{CacheSize: 1024, DisableTracing: true})
+	traced := allocs(Options{CacheSize: 1024})
+	t.Logf("cache-hit allocs: untraced %v, traced %v", untraced, traced)
+	if traced-untraced > 2 {
+		t.Fatalf("tracing adds %v allocations per cache hit (traced %v, untraced %v), budget is 2",
+			traced-untraced, traced, untraced)
 	}
 }
 

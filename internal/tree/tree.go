@@ -134,99 +134,3 @@ func (t *Tree) PredictBatch(x *mat.Dense, dst []float64) []float64 {
 	}
 	return dst
 }
-
-// Depth returns the maximum depth of the tree (0 for a single leaf).
-func (t *Tree) Depth() int {
-	var walk func(i int32) int
-	walk = func(i int32) int {
-		n := &t.Nodes[i]
-		if n.Feature < 0 {
-			return 0
-		}
-		l := walk(n.Left)
-		r := walk(n.Right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(0)
-}
-
-// LeafCount returns the number of leaves.
-func (t *Tree) LeafCount() int {
-	c := 0
-	for i := range t.Nodes {
-		if t.Nodes[i].Feature < 0 {
-			c++
-		}
-	}
-	return c
-}
-
-// FeatureImportance accumulates, per feature, the total impurity decrease
-// weighted by node size, normalized to sum to 1 (all-zero if the tree is a
-// single leaf). Importances are a byproduct of training and are stored
-// implicitly in the structure; this recomputes them from node statistics.
-func (t *Tree) FeatureImportance(x *mat.Dense, y []float64) []float64 {
-	imp := make([]float64, t.Features)
-	// Recompute impurity decrease per internal node by replaying the
-	// partition. We walk with explicit row sets.
-	idx := make([]int, x.Rows)
-	for i := range idx {
-		idx[i] = i
-	}
-	var walk func(node int32, rows []int)
-	walk = func(node int32, rows []int) {
-		n := &t.Nodes[node]
-		if n.Feature < 0 || len(rows) == 0 {
-			return
-		}
-		var sum, sq float64
-		for _, i := range rows {
-			v := y[i]
-			sum += v
-			sq += v * v
-		}
-		parent := sq - sum*sum/float64(len(rows))
-		lo, hi := 0, len(rows)
-		for lo < hi {
-			if x.At(rows[lo], n.Feature) <= n.Threshold {
-				lo++
-			} else {
-				hi--
-				rows[lo], rows[hi] = rows[hi], rows[lo]
-			}
-		}
-		var lsum, lsq float64
-		for _, i := range rows[:lo] {
-			v := y[i]
-			lsum += v
-			lsq += v * v
-		}
-		rsum, rsq := sum-lsum, sq-lsq
-		var child float64
-		if lo > 0 {
-			child += lsq - lsum*lsum/float64(lo)
-		}
-		if len(rows)-lo > 0 {
-			child += rsq - rsum*rsum/float64(len(rows)-lo)
-		}
-		if d := parent - child; d > 0 {
-			imp[n.Feature] += d
-		}
-		walk(n.Left, rows[:lo])
-		walk(n.Right, rows[lo:])
-	}
-	walk(0, idx)
-	var total float64
-	for _, v := range imp {
-		total += v
-	}
-	if total > 0 {
-		for i := range imp {
-			imp[i] /= total
-		}
-	}
-	return imp
-}

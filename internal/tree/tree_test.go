@@ -34,8 +34,8 @@ func TestSingleLeafWhenConstantTarget(t *testing.T) {
 	x := mat.FromRows([][]float64{{1}, {2}, {3}})
 	y := []float64{5, 5, 5}
 	tr := Fit(x, y, Defaults(), nil)
-	if tr.LeafCount() != 1 || tr.Depth() != 0 {
-		t.Fatalf("constant target grew %d leaves depth %d", tr.LeafCount(), tr.Depth())
+	if len(tr.Nodes) != 1 {
+		t.Fatalf("constant target grew %d nodes, want a single leaf", len(tr.Nodes))
 	}
 	if tr.Predict([]float64{99}) != 5 {
 		t.Fatal("wrong constant prediction")
@@ -46,7 +46,7 @@ func TestSingleLeafWhenConstantFeatures(t *testing.T) {
 	x := mat.FromRows([][]float64{{1}, {1}, {1}})
 	y := []float64{1, 2, 3}
 	tr := Fit(x, y, Defaults(), nil)
-	if tr.LeafCount() != 1 {
+	if len(tr.Nodes) != 1 {
 		t.Fatal("cannot split identical features")
 	}
 	if tr.Predict([]float64{1}) != 2 {
@@ -67,9 +67,18 @@ func TestMaxDepthRespected(t *testing.T) {
 	p := Defaults()
 	p.MaxDepth = 3
 	tr := Fit(x, y, p, nil)
-	if d := tr.Depth(); d > 3 {
+	if d := depth(tr, 0); d > 3 {
 		t.Fatalf("depth %d > 3", d)
 	}
+}
+
+// depth returns the longest root-to-leaf edge count below node i.
+func depth(tr *Tree, i int32) int {
+	n := &tr.Nodes[i]
+	if n.Feature < 0 {
+		return 0
+	}
+	return 1 + max(depth(tr, n.Left), depth(tr, n.Right))
 }
 
 func TestMinLeafSamplesRespected(t *testing.T) {
@@ -209,7 +218,7 @@ func TestMinImpurityDecrease(t *testing.T) {
 	p := Defaults()
 	p.MinImpurityDecrease = 1e9 // nothing can clear this bar
 	tr := Fit(x, y, p, nil)
-	if tr.LeafCount() != 1 {
+	if len(tr.Nodes) != 1 {
 		t.Fatal("split accepted despite impurity threshold")
 	}
 }
@@ -241,37 +250,6 @@ func TestFitEmptyPanics(t *testing.T) {
 		}
 	}()
 	Fit(mat.NewDense(0, 1), nil, Defaults(), nil)
-}
-
-func TestFeatureImportanceIdentifiesSignal(t *testing.T) {
-	r := rng.New(11)
-	n := 300
-	x := mat.NewDense(n, 3)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 3; j++ {
-			x.Set(i, j, r.Float64())
-		}
-		y[i] = 5*x.At(i, 2) + 0.01*r.Norm()
-	}
-	tr := Fit(x, y, Defaults(), nil)
-	imp := tr.FeatureImportance(x, y)
-	if imp[2] < 0.8 {
-		t.Fatalf("importance of true feature = %v (all: %v)", imp[2], imp)
-	}
-	sum := imp[0] + imp[1] + imp[2]
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("importances sum to %v", sum)
-	}
-}
-
-func TestFeatureImportanceSingleLeaf(t *testing.T) {
-	x := mat.FromRows([][]float64{{1}, {1}})
-	tr := Fit(x, []float64{2, 2}, Defaults(), nil)
-	imp := tr.FeatureImportance(x, []float64{2, 2})
-	if imp[0] != 0 {
-		t.Fatal("single leaf should have zero importances")
-	}
 }
 
 func TestPredictionIsPiecewiseConstantProperty(t *testing.T) {

@@ -4,15 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/forest"
-	"repro/internal/gbrt"
 	"repro/internal/rng"
 )
 
-// The compiled benchmarks deliberately mirror their pointer twins —
-// BenchmarkForestPredictBatch (internal/forest) and
-// BenchmarkGBRTPredictBatch (internal/gbrt) — same generator, seed,
-// shapes, and ensemble sizes, so the pair's ns/op ratio is the compiled
-// layout's speedup and `make bench-check` publishes it in the CI log.
+// These benchmarks are for manual timing. BenchmarkForestPredictBatchCompiled
+// mirrors its pointer twin BenchmarkForestPredictBatch (internal/forest) —
+// same generator, seed, shape and ensemble size — so the pair's ns/op
+// ratio is the compiled layout's speedup. The contract that compiled
+// inference beats the pointer walk is held by TestCompiledFasterThanPointer.
 
 func BenchmarkForestPredictBatchCompiled(b *testing.B) {
 	r := rng.New(1)
@@ -25,18 +24,6 @@ func BenchmarkForestPredictBatchCompiled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cf.PredictBatch(x, dst)
-	}
-}
-
-func BenchmarkGBRTPredictBatchCompiled(b *testing.B) {
-	r := rng.New(1)
-	x, y := friedman(r, 2000)
-	cm := CompileGBRT(gbrt.Fit(x, y, gbrt.Defaults(), r))
-	dst := make([]float64, x.Rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm.PredictBatch(x, dst)
 	}
 }
 

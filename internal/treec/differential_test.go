@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/forest"
-	"repro/internal/gbrt"
 	"repro/internal/mat"
 	"repro/internal/rng"
-	"repro/internal/tree"
 )
 
 // randomDataset draws a dataset with randomized shape and pathologies:
@@ -90,55 +88,6 @@ func TestCompiledDifferentialFuzz(t *testing.T) {
 				if gq[j] != wq[j] {
 					t.Fatalf("seed %d row %d q=%v: %v != %v", seed, i, qs[j], gq[j], wq[j])
 				}
-			}
-		}
-	}
-}
-
-// TestCompiledGBRTDifferentialFuzz mirrors the forest differential for
-// boosted ensembles across 100 seeded models.
-func TestCompiledGBRTDifferentialFuzz(t *testing.T) {
-	const seeds = 100
-	for seed := uint64(1); seed <= seeds; seed++ {
-		r := rng.New(1000 + seed)
-		x, y := randomDataset(r)
-		p := gbrt.Defaults()
-		p.Rounds = 1 + r.Intn(25)
-		p.MaxDepth = 1 + r.Intn(5)
-		p.Subsample = 0.5 + r.Float64()/2
-		m := gbrt.Fit(x, y, p, r)
-		cm := CompileGBRT(m)
-
-		want := m.PredictBatch(x, nil)
-		got := cm.PredictBatch(x, make([]float64, x.Rows))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d row %d: batch compiled %v != pointer %v", seed, i, got[i], want[i])
-			}
-		}
-		for i := 0; i < x.Rows; i += 1 + x.Rows/16 {
-			if cm.Predict(x.Row(i)) != m.Predict(x.Row(i)) {
-				t.Fatalf("seed %d row %d: single-row predict diverges", seed, i)
-			}
-		}
-	}
-}
-
-// TestCompiledSingleTreeDifferentialFuzz covers the bare tree wrapper.
-func TestCompiledSingleTreeDifferentialFuzz(t *testing.T) {
-	ft := tree.NewFitter()
-	for seed := uint64(1); seed <= 100; seed++ {
-		r := rng.New(2000 + seed)
-		x, y := randomDataset(r)
-		p := tree.Defaults()
-		p.MaxDepth = 1 + r.Intn(15)
-		tr := ft.Fit(x, y, p, nil)
-		ct := CompileTree(tr)
-		want := tr.PredictBatch(x, nil)
-		got := ct.PredictBatch(x, make([]float64, x.Rows))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d row %d: compiled %v != pointer %v", seed, i, got[i], want[i])
 			}
 		}
 	}

@@ -1,10 +1,9 @@
-// Package treec compiles pointer-based tree ensembles (tree.Tree,
-// forest.Forest, gbrt.Model) into a flattened struct-of-arrays layout and
-// provides batch-blocked traversal kernels over it. Predictions are
-// bit-identical to the pointer implementations — the compiled form reaches
-// the same leaves via the same float comparisons and accumulates in the
-// same order — which a differential fuzz suite enforces (see
-// differential_test.go).
+// Package treec compiles a fitted random forest (forest.Forest) into a
+// flattened struct-of-arrays layout and provides batch-blocked traversal
+// kernels over it. Predictions are bit-identical to the pointer
+// implementation — the compiled form reaches the same leaves via the same
+// float comparisons and accumulates in the same order — which a
+// differential fuzz suite enforces (see differential_test.go).
 //
 // Why compile: the pointer layout pays a 40-byte Node struct per hop plus
 // a data-dependent branch per split, and every tree's node slice is a
@@ -25,7 +24,6 @@ import (
 	"sort"
 
 	"repro/internal/forest"
-	"repro/internal/gbrt"
 	"repro/internal/mat"
 	"repro/internal/tree"
 )
@@ -54,9 +52,6 @@ type Ensemble struct {
 
 // NumTrees returns the number of compiled trees.
 func (e *Ensemble) NumTrees() int { return len(e.Roots) }
-
-// NumNodes returns the total node count across trees.
-func (e *Ensemble) NumNodes() int { return len(e.Feature) }
 
 // appendTree renumbers one pointer tree breadth-first into the ensemble
 // arrays. order is scratch reused across trees (may be nil).
@@ -133,10 +128,9 @@ func (e *Ensemble) predictRow(row []float64, root int32) float64 {
 // alongside the upper tree levels.
 const blockRows = 128
 
-// accumulate adds mul·leaf(row i) to dst[i] for every tree and every row
-// of x, walking trees over row blocks. Accumulation order per row is
-// tree order, identical to the pointer implementations. mul = 1 for
-// forests (an exact float64 identity) and shrinkage for GBRT.
+// accumulate adds leaf(row i) to dst[i] for every tree and every row of
+// x, walking trees over row blocks. Accumulation order per row is tree
+// order, identical to the pointer implementation.
 //
 // Within a block, four rows traverse each tree in lockstep: a single
 // traversal is a serial chain (load node, compare, load child, …) that
@@ -145,7 +139,7 @@ const blockRows = 128
 // their leaf early park (guarded by the lane's `f < 0` check) until the
 // deepest lane finishes; the wasted iterations are bounded by the depth
 // spread between four adjacent rows, which is small in practice.
-func (e *Ensemble) accumulate(x *mat.Dense, dst []float64, mul float64) {
+func (e *Ensemble) accumulate(x *mat.Dense, dst []float64) {
 	data := x.Data
 	cols := x.Cols
 	feat, child, th := e.Feature, e.Child, e.Thresh
@@ -197,49 +191,17 @@ func (e *Ensemble) accumulate(x *mat.Dense, dst []float64, mul float64) {
 						f3 = feat[j3]
 					}
 				}
-				dst[i+0] += mul * th[j0]
-				dst[i+1] += mul * th[j1]
-				dst[i+2] += mul * th[j2]
-				dst[i+3] += mul * th[j3]
+				dst[i+0] += th[j0]
+				dst[i+1] += th[j1]
+				dst[i+2] += th[j2]
+				dst[i+3] += th[j3]
 			}
 			for ; i < be; i++ {
 				row := data[i*cols : i*cols+cols : i*cols+cols]
-				dst[i] += mul * e.predictRow(row, root)
+				dst[i] += e.predictRow(row, root)
 			}
 		}
 	}
-}
-
-// ---- compiled model wrappers ----
-
-// Tree is a compiled single regression tree.
-type Tree struct {
-	E Ensemble
-}
-
-// CompileTree flattens a fitted tree.
-func CompileTree(t *tree.Tree) *Tree {
-	return &Tree{E: compileTrees([]*tree.Tree{t}, t.Features)}
-}
-
-// Predict returns the tree's prediction for v, bit-identical to
-// tree.Tree.Predict.
-func (t *Tree) Predict(v []float64) float64 {
-	if len(v) != t.E.Features {
-		panic(fmt.Sprintf("treec: predict with %d features, tree has %d", len(v), t.E.Features))
-	}
-	return t.E.predictRow(v, 0)
-}
-
-// PredictBatch fills dst with predictions for every row of x; a nil dst
-// is allocated. With a non-nil dst the call performs no allocations.
-func (t *Tree) PredictBatch(x *mat.Dense, dst []float64) []float64 {
-	dst = checkBatch(&t.E, x, dst, "tree")
-	for i := range dst {
-		dst[i] = 0
-	}
-	t.E.accumulate(x, dst, 1)
-	return dst
 }
 
 // Forest is a compiled random forest: the prediction is the mean of the
@@ -271,11 +233,19 @@ func (f *Forest) Predict(v []float64) float64 {
 // nil dst is allocated. With a non-nil dst the call performs no
 // allocations, and results are bit-identical to forest.Forest.PredictBatch.
 func (f *Forest) PredictBatch(x *mat.Dense, dst []float64) []float64 {
-	dst = checkBatch(&f.E, x, dst, "forest")
+	if x.Cols != f.E.Features {
+		panic(fmt.Sprintf("treec: predict with %d features, forest has %d", x.Cols, f.E.Features))
+	}
+	if dst == nil {
+		dst = make([]float64, x.Rows)
+	}
+	if len(dst) != x.Rows {
+		panic("treec: PredictBatch dst length mismatch")
+	}
 	for i := range dst {
 		dst[i] = 0
 	}
-	f.E.accumulate(x, dst, 1)
+	f.E.accumulate(x, dst)
 	m := float64(len(f.E.Roots))
 	for i := range dst {
 		dst[i] /= m
@@ -331,60 +301,4 @@ func (f *Forest) PredictQuantilesInto(v, qs, preds, dst []float64) float64 {
 		dst[i] = preds[lo]*(1-frac) + preds[hi]*frac
 	}
 	return mean
-}
-
-// GBRT is a compiled gradient-boosted ensemble.
-type GBRT struct {
-	E         Ensemble
-	Base      float64
-	Shrinkage float64
-}
-
-// CompileGBRT flattens a fitted boosted model.
-func CompileGBRT(m *gbrt.Model) *GBRT {
-	return &GBRT{
-		E:         compileTrees(m.Trees, m.Features),
-		Base:      m.Base,
-		Shrinkage: m.Shrinkage,
-	}
-}
-
-// Predict evaluates the compiled ensemble on v, bit-identical to
-// gbrt.Model.Predict.
-func (m *GBRT) Predict(v []float64) float64 {
-	if len(v) != m.E.Features {
-		panic(fmt.Sprintf("treec: predict with %d features, model has %d", len(v), m.E.Features))
-	}
-	s := m.Base
-	for _, root := range m.E.Roots {
-		s += m.Shrinkage * m.E.predictRow(v, root)
-	}
-	return s
-}
-
-// PredictBatch fills dst with predictions for every row of x; a nil dst
-// is allocated. With a non-nil dst the call performs no allocations, and
-// results are bit-identical to gbrt.Model.PredictBatch.
-func (m *GBRT) PredictBatch(x *mat.Dense, dst []float64) []float64 {
-	dst = checkBatch(&m.E, x, dst, "gbrt")
-	for i := range dst {
-		dst[i] = m.Base
-	}
-	m.E.accumulate(x, dst, m.Shrinkage)
-	return dst
-}
-
-// checkBatch validates batch-prediction arguments and allocates dst when
-// nil, mirroring the pointer implementations' contracts.
-func checkBatch(e *Ensemble, x *mat.Dense, dst []float64, kind string) []float64 {
-	if x.Cols != e.Features {
-		panic(fmt.Sprintf("treec: predict with %d features, %s has %d", x.Cols, kind, e.Features))
-	}
-	if dst == nil {
-		dst = make([]float64, x.Rows)
-	}
-	if len(dst) != x.Rows {
-		panic("treec: PredictBatch dst length mismatch")
-	}
-	return dst
 }
