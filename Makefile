@@ -3,15 +3,20 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint lint-audit lint-sarif test race bench-paper bench-serving clean
+.PHONY: verify build vet fmt lint lint-audit lint-sarif test race bench-paper bench-serving clean
 
-verify: build vet lint lint-audit race
+verify: build vet fmt lint lint-audit race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when any file is not gofmt-clean (`gofmt -l .`
+# lists them).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # Project-specific static analysis (determinism, numerical safety, IO
 # hygiene); see README "Static analysis" and internal/lint. Exit 1 on any

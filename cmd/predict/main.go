@@ -103,23 +103,20 @@ func main() {
 			fatalf("configuration %v has %d values, model expects %d (%v)",
 				cfg, len(cfg), len(m.ParamNames), m.ParamNames)
 		}
-		res := result{Params: cfg, Cluster: m.AssignCluster(cfg)}
+		ev := m.Evaluate(cfg, coverage)
+		res := result{Params: cfg, Cluster: ev.Cluster, Scales: m.Cfg.LargeScales, Runtimes: ev.Runtimes}
 		if *curves {
-			res.Small = m.PredictSmall(cfg)
+			res.Small = ev.Small
 		}
 		if *at > 0 {
-			v, err := m.PredictAt(cfg, *at)
+			v, err := m.PredictAt(&ev, *at)
 			if err != nil {
 				fatalf("%v", err)
 			}
 			res.Scales = []int{*at}
 			res.Runtimes = []float64{v}
-		} else {
-			res.Scales = m.Cfg.LargeScales
-			res.Runtimes = m.Predict(cfg)
-			if coverage > 0 {
-				res.Intervals = m.PredictIntervalCov(cfg, coverage)
-			}
+		} else if coverage > 0 {
+			res.Intervals = m.Intervals(&ev)
 		}
 		if *asJSON {
 			if err := enc.Encode(res); err != nil {

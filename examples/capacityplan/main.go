@@ -47,8 +47,9 @@ func main() {
 	fmt.Printf("%8s  %12s  %12s  %10s\n", "procs", "predicted", "actual", "core-hours")
 	candidates := []int{64, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048}
 	chosen := -1
+	ev := model.Evaluate(target, 0)
 	for _, p := range candidates {
-		pred, err := model.PredictAt(target, p)
+		pred, err := model.PredictAt(&ev, p)
 		if err != nil {
 			log.Fatal(err)
 		}

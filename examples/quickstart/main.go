@@ -53,16 +53,20 @@ func main() {
 	// 3 + 4. Predict 20 fresh configurations at every large scale and
 	// score against ground truth.
 	fresh := app.Space().SampleLatinHypercube(r, 20)
+	preds := make([][]float64, len(fresh))
+	for i, c := range fresh {
+		preds[i] = model.Predict(c)
+	}
 	for _, scaleIdx := range []int{0, len(cfg.LargeScales) - 1} {
 		scale := cfg.LargeScales[scaleIdx]
 		var yTrue, yPred []float64
-		for _, c := range fresh {
+		for i, c := range fresh {
 			truth, err := engine.Run(app, c, scale, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
 			yTrue = append(yTrue, truth)
-			yPred = append(yPred, model.Predict(c)[scaleIdx])
+			yPred = append(yPred, preds[i][scaleIdx])
 		}
 		fmt.Printf("scale p=%d: MAPE %.1f%% over %d unseen configurations\n",
 			scale, 100*stats.MAPE(yTrue, yPred), len(fresh))
@@ -71,13 +75,12 @@ func main() {
 	// Bonus: inspect one prediction end to end.
 	probe := fresh[0]
 	fmt.Printf("\nconfiguration %v (nx, ny, nz, iters):\n", probe)
-	small := model.PredictSmall(probe)
+	ev := model.Evaluate(probe, 0)
 	for i, s := range cfg.SmallScales {
-		fmt.Printf("  p=%-5d predicted %8.3fs (interpolation level)\n", s, small[i])
+		fmt.Printf("  p=%-5d predicted %8.3fs (interpolation level)\n", s, ev.Small[i])
 	}
-	large := model.Predict(probe)
 	for i, s := range cfg.LargeScales {
 		truth, _ := engine.Run(app, probe, s, 0)
-		fmt.Printf("  p=%-5d predicted %8.3fs, actually ran in %8.3fs\n", s, large[i], truth)
+		fmt.Printf("  p=%-5d predicted %8.3fs, actually ran in %8.3fs\n", s, ev.Runtimes[i], truth)
 	}
 }

@@ -53,8 +53,9 @@ func main() {
 	scales := append(append([]int{}, cfg.SmallScales...), cfg.LargeScales...)
 
 	for _, sc := range studies {
+		ev := model.Evaluate(sc, 0)
 		fmt.Printf("LULESH s=%.0f steps=%.0f regions=%.0f (cluster %d)\n",
-			sc[0], sc[1], sc[2], model.AssignCluster(sc))
+			sc[0], sc[1], sc[2], ev.Cluster)
 
 		// measured small-scale curve for the curve-fit baseline
 		var smallCurve []float64
@@ -70,7 +71,6 @@ func main() {
 			log.Fatal(err)
 		}
 
-		twoLevel := model.Predict(sc)
 		fmt.Printf("  %8s  %10s  %12s  %12s  %9s\n", "procs", "actual", "two-level", "curve-fit", "speedup")
 		base, _ := engine.Run(app, sc, scales[0], 0)
 		for i, p := range scales {
@@ -80,9 +80,9 @@ func main() {
 			}
 			var tl string
 			if i < len(cfg.SmallScales) {
-				tl = fmt.Sprintf("%10.3fs*", model.PredictSmall(sc)[i])
+				tl = fmt.Sprintf("%10.3fs*", ev.Small[i])
 			} else {
-				tl = fmt.Sprintf("%10.3fs ", twoLevel[i-len(cfg.SmallScales)])
+				tl = fmt.Sprintf("%10.3fs ", ev.Runtimes[i-len(cfg.SmallScales)])
 			}
 			fmt.Printf("  %8d  %9.3fs  %s  %10.3fs  %8.1fx\n",
 				p, truth, tl, cf.Predict(float64(p)), base/truth)

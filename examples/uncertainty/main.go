@@ -57,13 +57,13 @@ func main() {
 	// with its parameter-hash holdout.
 	cal := uncertainty.NewCalibrator(cfg.LargeScales, model.Clusters())
 	for _, c := range calib {
-		preds := model.Predict(c)
+		ev := model.Evaluate(c, 0)
 		for i, scale := range cfg.LargeScales {
 			truth, err := engine.Run(app, c, scale, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
-			cal.Add(model.AssignCluster(c), i, preds[i], truth)
+			cal.Add(ev.Cluster, i, ev.Runtimes[i], truth)
 		}
 	}
 	model.Meta.Calibration = cal.Finish()
@@ -83,17 +83,27 @@ func main() {
 		}
 	}
 
+	// The same model without its calibration serves the ensemble band
+	// at every scale.
+	uncalibrated := *model
+	uncalibrated.Meta.Calibration = nil
+
 	fmt.Printf("CG, %d calibration configs, %d fresh test configs\n", len(calib), len(fresh))
 	fmt.Printf("empirical coverage (cov) and mean relative band width (w = (hi-lo)/mid)\n\n")
 	fmt.Printf("%8s  %6s  %18s  %18s\n", "", "", "conformal", "ensemble")
 	fmt.Printf("%8s  %6s  %8s  %8s  %8s  %8s\n", "nominal", "scale", "cov", "w", "cov", "w")
 	for _, nominal := range []float64{0.8, 0.9} {
+		confs := make([][]core.Interval, len(fresh))
+		enss := make([][]core.Interval, len(fresh))
+		for i, c := range fresh {
+			confs[i] = model.PredictIntervalCov(c, nominal)
+			enss[i] = uncalibrated.PredictIntervalCov(c, nominal)
+		}
 		for j, scale := range cfg.LargeScales {
 			var confIn, ensIn int
 			var confW, ensW float64
-			for i, c := range fresh {
-				conf := model.PredictIntervalCov(c, nominal)[j]
-				ens := model.PredictInterval(c, (1-nominal)/2)[j]
+			for i := range fresh {
+				conf, ens := confs[i][j], enss[i][j]
 				if conf.Source != core.IntervalConformal {
 					log.Fatalf("p=%d served %s, not conformal", scale, conf.Source)
 				}

@@ -38,15 +38,6 @@ func (r *Result) Assign(v []float64) int {
 	return best
 }
 
-// Sizes returns the number of points per cluster.
-func (r *Result) Sizes() []int {
-	out := make([]int, r.K())
-	for _, l := range r.Labels {
-		out[l]++
-	}
-	return out
-}
-
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
@@ -208,68 +199,6 @@ func seedPlusPlus(r *rng.Source, x *mat.Dense, k int) *mat.Dense {
 	return cent
 }
 
-// Silhouette returns the mean silhouette coefficient of a clustering,
-// in [-1, 1]; higher is better-separated. Clusters of size 1 contribute 0.
-// It is O(n²) and intended for model selection on modest n.
-func Silhouette(x *mat.Dense, labels []int, k int) float64 {
-	n := x.Rows
-	if n != len(labels) {
-		panic("cluster: Silhouette label length mismatch")
-	}
-	if k < 2 {
-		return 0
-	}
-	sizes := make([]int, k)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	var total float64
-	counted := 0
-	dsum := make([]float64, k)
-	for i := 0; i < n; i++ {
-		li := labels[i]
-		if sizes[li] <= 1 {
-			counted++
-			continue
-		}
-		for c := range dsum {
-			dsum[c] = 0
-		}
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			dsum[labels[j]] += math.Sqrt(sqDist(x.Row(i), x.Row(j)))
-		}
-		a := dsum[li] / float64(sizes[li]-1)
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == li || sizes[c] == 0 {
-				continue
-			}
-			if m := dsum[c] / float64(sizes[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			counted++
-			continue
-		}
-		den := a
-		if b > den {
-			den = b
-		}
-		if den > 0 {
-			total += (b - a) / den
-		}
-		counted++
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(n)
-}
-
 // NormalizeCurves maps each row (a per-configuration scaling curve) to a
 // shape vector: the row is divided by its first element, then log2 is
 // applied. Two configurations with proportional runtimes — the same
@@ -291,11 +220,6 @@ func NormalizeCurves(curves *mat.Dense) *mat.Dense {
 		}
 	}
 	return out
-}
-
-// NormalizeCurve applies the NormalizeCurves transform to one curve.
-func NormalizeCurve(curve []float64) []float64 {
-	return NormalizeCurveInto(curve, make([]float64, len(curve)))
 }
 
 // NormalizeCurveInto applies the NormalizeCurves transform to one curve,

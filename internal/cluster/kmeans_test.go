@@ -115,10 +115,6 @@ func TestKMeansAllLabelsValid(t *testing.T) {
 			t.Fatalf("label %d out of range", l)
 		}
 	}
-	sizes := res.Sizes()
-	if sizes[0]+sizes[1] != x.Rows {
-		t.Fatal("Sizes do not sum to n")
-	}
 }
 
 func TestAssignMatchesLabels(t *testing.T) {
@@ -149,31 +145,6 @@ func TestKMeansHandlesDuplicatePoints(t *testing.T) {
 	res := KMeans(rng.New(6), x, 3, Options{})
 	if res.Inertia < 0 {
 		t.Fatal("negative inertia")
-	}
-}
-
-func TestSilhouetteSeparatedVsOverlapping(t *testing.T) {
-	r := rng.New(7)
-	farX, _ := blobs(r, 30, [][]float64{{0, 0}, {20, 20}}, 0.5)
-	farRes := KMeans(r, farX, 2, Options{})
-	farSil := Silhouette(farX, farRes.Labels, 2)
-
-	nearX, _ := blobs(r, 30, [][]float64{{0, 0}, {1, 1}}, 1.0)
-	nearRes := KMeans(r, nearX, 2, Options{})
-	nearSil := Silhouette(nearX, nearRes.Labels, 2)
-
-	if farSil < 0.8 {
-		t.Fatalf("separated blobs silhouette = %v", farSil)
-	}
-	if nearSil >= farSil {
-		t.Fatalf("overlapping (%v) >= separated (%v)", nearSil, farSil)
-	}
-}
-
-func TestSilhouetteK1Zero(t *testing.T) {
-	x := mat.NewDense(5, 1)
-	if Silhouette(x, []int{0, 0, 0, 0, 0}, 1) != 0 {
-		t.Fatal("k=1 silhouette should be 0")
 	}
 }
 
@@ -216,7 +187,7 @@ func TestNormalizeCurvePanicsOnNonPositive(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NormalizeCurve([]float64{1, 0, 2})
+	NormalizeCurveInto([]float64{1, 0, 2}, make([]float64, 3))
 }
 
 func TestKMeansDeterministicForSeed(t *testing.T) {

@@ -266,18 +266,3 @@ func (m *TwoLevelModel) selectSupportForCurve(shape []float64) []int {
 	}
 	return support
 }
-
-// SupportTerms renders a cluster's selected basis terms for reports
-// (basis mode only; anchored clusters return nil).
-func (m *TwoLevelModel) SupportTerms(c int) []string {
-	cm := m.ClusterModels[c]
-	if cm.Support == nil {
-		return nil
-	}
-	out := make([]string, 0, len(cm.Support)+1)
-	out = append(out, "1")
-	for _, j := range cm.Support {
-		out = append(out, m.Cfg.Basis[j].String())
-	}
-	return out
-}

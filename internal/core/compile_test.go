@@ -55,8 +55,8 @@ func pointerSmall(m *TwoLevelModel, p []float64) []float64 {
 	return out
 }
 
-// pointerInterval is PredictInterval evaluated through the pointer
-// forests' per-tree quantiles.
+// pointerInterval is the ensemble band at tail mass q evaluated through
+// the pointer forests' per-tree quantiles.
 func pointerInterval(m *TwoLevelModel, p []float64, q float64) []Interval {
 	var curves [3][]float64 // lo, mid, hi small-scale curves
 	for c := range curves {
@@ -99,45 +99,98 @@ func pointerIntervalCov(m *TwoLevelModel, p []float64, coverage float64) []Inter
 	return out
 }
 
-// checkAgainstPointer asserts every prediction surface of m is
-// bit-identical to the pointer-forest oracle on each probe.
-func checkAgainstPointer(t *testing.T, m *TwoLevelModel, probes [][]float64) {
+// checkIntervals fails unless got equals want bit for bit.
+func checkIntervals(t *testing.T, what string, p []float64, got, want []Interval) {
 	t.Helper()
-	for _, p := range probes {
-		small := pointerSmall(m, p)
-		for i, v := range m.PredictSmall(p) {
-			if v != small[i] {
-				t.Fatalf("PredictSmall(%v)[%d]: compiled %v != pointer %v", p, i, v, small[i])
-			}
-		}
-		pred := m.PredictFromCurve(small)
-		for i, v := range m.Predict(p) {
-			if v != pred[i] {
-				t.Fatalf("Predict(%v)[%d]: compiled %v != pointer %v", p, i, v, pred[i])
-			}
-		}
-		ivs := pointerInterval(m, p, 0.1)
-		for i, iv := range m.PredictInterval(p, 0.1) {
-			if iv != ivs[i] {
-				t.Fatalf("PredictInterval(%v)[%d]: compiled %+v != pointer %+v", p, i, iv, ivs[i])
-			}
-		}
-		cov := pointerIntervalCov(m, p, 0.8)
-		for i, iv := range m.PredictIntervalCov(p, 0.8) {
-			if iv != cov[i] {
-				t.Fatalf("PredictIntervalCov(%v)[%d]: compiled %+v != pointer %+v", p, i, iv, cov[i])
-			}
-		}
-		if got, want := m.AssignCluster(p), m.assign(small); got != want {
-			t.Fatalf("AssignCluster(%v): compiled %d != pointer %d", p, got, want)
+	if len(got) != len(want) {
+		t.Fatalf("%s(%v): %d intervals, pointer has %d", what, p, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s(%v)[%d]: compiled %+v != pointer %+v", what, p, i, got[i], want[i])
 		}
 	}
 }
 
-// fitCompiled fits a model in the given mode, attaches a hand-built
-// calibration covering the first large scale (so PredictIntervalCov
-// exercises both its conformal and its ensemble-fallback branches), and
-// returns it with a handful of held-out probes.
+// checkAgainstPointer asserts every prediction surface of m is
+// bit-identical to the pointer-forest oracle on each probe, under no
+// calibration, a calibration of every target scale, and a calibration
+// missing all but the first (conformal and ensemble bands side by side).
+// Coverage 0.8 is certified by the calibrations' 30 scores; 0.99 is not,
+// so it takes the ensemble band with a calibration present.
+func checkAgainstPointer(t *testing.T, m *TwoLevelModel, probes [][]float64) {
+	t.Helper()
+	scores := make([]float64, 30)
+	for i := range scores {
+		scores[i] = 0.2 + float64(i)*0.001
+	}
+	full := &uncertainty.Calibration{}
+	for _, s := range m.Cfg.LargeScales {
+		full.Pooled = append(full.Pooled, uncertainty.ScaleCalib{Scale: s, Scores: scores})
+	}
+	partial := &uncertainty.Calibration{Pooled: full.Pooled[:1]}
+	beyond := m.Cfg.LargeScales[len(m.Cfg.LargeScales)-1] * 3 // not a target scale
+	for _, cal := range []*uncertainty.Calibration{nil, full, partial} {
+		cm := *m
+		cm.Meta.Calibration = cal
+		for _, p := range probes {
+			small := pointerSmall(&cm, p)
+			cluster := cm.assign(small)
+			pred := cm.PredictFromCurve(small)
+			for i, v := range cm.PredictSmall(p) {
+				if v != small[i] {
+					t.Fatalf("PredictSmall(%v)[%d]: compiled %v != pointer %v", p, i, v, small[i])
+				}
+			}
+			for i, v := range cm.Predict(p) {
+				if v != pred[i] {
+					t.Fatalf("Predict(%v)[%d]: compiled %v != pointer %v", p, i, v, pred[i])
+				}
+			}
+			if got := cm.AssignCluster(p); got != cluster {
+				t.Fatalf("AssignCluster(%v): compiled %d != pointer %d", p, got, cluster)
+			}
+			for _, cov := range []float64{0, 0.8, 0.99} {
+				ev := cm.Evaluate(p, cov)
+				if ev.Cluster != cluster {
+					t.Fatalf("Evaluate(%v, %v).Cluster: compiled %d != pointer %d", p, cov, ev.Cluster, cluster)
+				}
+				for i, v := range ev.Small {
+					if v != small[i] {
+						t.Fatalf("Evaluate(%v, %v).Small[%d]: compiled %v != pointer %v", p, cov, i, v, small[i])
+					}
+				}
+				for i, v := range ev.Runtimes {
+					if v != pred[i] {
+						t.Fatalf("Evaluate(%v, %v).Runtimes[%d]: compiled %v != pointer %v", p, cov, i, v, pred[i])
+					}
+				}
+				for i, s := range cm.Cfg.LargeScales {
+					if v, err := cm.PredictAt(&ev, s); err != nil || v != pred[i] {
+						t.Fatalf("PredictAt(%v, %d) = %v, %v; pointer %v", p, s, v, err, pred[i])
+					}
+				}
+				v, err := cm.PredictAt(&ev, beyond)
+				if cm.Mode() == ModeAnchored {
+					if err == nil {
+						t.Fatalf("anchored PredictAt(%v, %d) accepted a non-target scale", p, beyond)
+					}
+				} else if want := cm.predictBasisAt(cluster, small, beyond); err != nil || v != want {
+					t.Fatalf("PredictAt(%v, %d) = %v, %v; pointer %v", p, beyond, v, err, want)
+				}
+				if cov == 0 {
+					continue
+				}
+				want := pointerIntervalCov(&cm, p, cov)
+				checkIntervals(t, "Intervals", p, cm.Intervals(&ev), want)
+				checkIntervals(t, "PredictIntervalCov", p, cm.PredictIntervalCov(p, cov), want)
+			}
+		}
+	}
+}
+
+// fitCompiled fits an uncalibrated model in the given mode and returns
+// it with a handful of held-out probes.
 func fitCompiled(t *testing.T, mode Mode) (*TwoLevelModel, [][]float64) {
 	t.Helper()
 	cfg := smallCfg()
@@ -147,13 +200,6 @@ func fitCompiled(t *testing.T, mode Mode) (*TwoLevelModel, [][]float64) {
 	m, err := Fit(rng.New(5), train, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	scores := make([]float64, 30)
-	for i := range scores {
-		scores[i] = 0.2 + float64(i)*0.001
-	}
-	m.Meta.Calibration = &uncertainty.Calibration{
-		Pooled: []uncertainty.ScaleCalib{{Scale: cfg.LargeScales[0], Scores: scores}},
 	}
 	var probes [][]float64
 	for _, c := range test.GroupByConfig() {

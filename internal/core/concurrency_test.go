@@ -40,7 +40,8 @@ func TestConcurrentPredictors(t *testing.T) {
 	base := make([]baseline, len(params))
 	atScale := cfg.LargeScales[0]
 	for i, p := range params {
-		at, err := m.PredictAt(p, atScale)
+		ev := m.Evaluate(p, 0)
+		at, err := m.PredictAt(&ev, atScale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestConcurrentPredictors(t *testing.T) {
 			pred:    m.Predict(p),
 			small:   m.PredictSmall(p),
 			at:      at,
-			ivs:     m.PredictInterval(p, 0.1),
+			ivs:     m.PredictIntervalCov(p, 0.8),
 			cluster: m.AssignCluster(p),
 		}
 	}
@@ -71,7 +72,8 @@ func TestConcurrentPredictors(t *testing.T) {
 					t.Errorf("goroutine %d: PredictSmall diverged", g)
 					return
 				}
-				got, err := m.PredictAt(p, atScale)
+				ev := m.Evaluate(p, 0)
+				got, err := m.PredictAt(&ev, atScale)
 				if err != nil {
 					errCh <- err
 					return
@@ -80,8 +82,8 @@ func TestConcurrentPredictors(t *testing.T) {
 					t.Errorf("goroutine %d: PredictAt diverged: %v != %v", g, got, base[i].at)
 					return
 				}
-				if got := m.PredictInterval(p, 0.1); !reflect.DeepEqual(got, base[i].ivs) {
-					t.Errorf("goroutine %d: PredictInterval diverged", g)
+				if got := m.PredictIntervalCov(p, 0.8); !reflect.DeepEqual(got, base[i].ivs) {
+					t.Errorf("goroutine %d: PredictIntervalCov diverged", g)
 					return
 				}
 				if got := m.AssignCluster(p); got != base[i].cluster {
@@ -128,7 +130,8 @@ func TestConcurrentPredictorsBasis(t *testing.T) {
 					t.Errorf("goroutine %d: basis Predict diverged", g)
 					return
 				}
-				if _, err := m.PredictAt(params[i], 2048); err != nil {
+				ev := m.Evaluate(params[i], 0)
+				if _, err := m.PredictAt(&ev, 2048); err != nil {
 					t.Errorf("goroutine %d: PredictAt(2048): %v", g, err)
 					return
 				}

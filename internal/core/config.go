@@ -35,6 +35,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/forest"
 	"repro/internal/linmod"
@@ -185,14 +186,45 @@ func (c Config) normalize() (Config, error) {
 	if c.Forest.Trees <= 0 {
 		c.Forest = d.Forest
 	}
-	return c, c.checkScales()
+	return c, c.check()
 }
 
-// checkScales validates the scale lists every fitted model relies on: at
-// least four strictly ascending small scales >= 1, and strictly
-// ascending large scales all above them. Read applies it to loaded
-// models too, where the lists come from the file.
-func (c Config) checkScales() error {
+// Bounds on the settings that fix how long one prediction runs: a basis
+// term's log exponent is a loop count in scalefit.Term.Eval, and the
+// basis size, CVLambdas and Lasso.MaxIter bound the per-curve lasso the
+// single-task basis ablation runs at prediction time. The built-in
+// grids use log exponents <= 2, 17 terms, 12 lambdas and the lasso's
+// default of 1000 sweeps.
+const (
+	maxLogExponent = 8
+	maxBasisTerms  = 64
+	maxCVLambdas   = 100
+	maxLassoIter   = 100000
+)
+
+// check validates what every fitted model relies on. Scales: at least
+// four strictly ascending small scales >= 1, and strictly ascending
+// large scales all above them. Settings: the bounds above, and finite
+// basis exponents. Fit applies it after filling defaults, and Read to
+// loaded models, where every value comes from the file.
+func (c Config) check() error {
+	if len(c.Basis) > maxBasisTerms {
+		return fmt.Errorf("core: %d basis terms, at most %d", len(c.Basis), maxBasisTerms)
+	}
+	for i, t := range c.Basis {
+		if t.B < 0 || t.B > maxLogExponent {
+			return fmt.Errorf("core: basis term %d has log exponent %d outside [0, %d]", i, t.B, maxLogExponent)
+		}
+		if math.IsNaN(t.A) || math.IsInf(t.A, 0) {
+			return fmt.Errorf("core: basis term %d has non-finite power exponent %v", i, t.A)
+		}
+	}
+	if c.CVLambdas > maxCVLambdas {
+		return fmt.Errorf("core: CVLambdas %d above %d", c.CVLambdas, maxCVLambdas)
+	}
+	if c.Lasso.MaxIter > maxLassoIter {
+		return fmt.Errorf("core: Lasso.MaxIter %d above %d", c.Lasso.MaxIter, maxLassoIter)
+	}
 	if len(c.SmallScales) == 0 || len(c.LargeScales) == 0 {
 		return fmt.Errorf("core: %d small and %d large scales; need both", len(c.SmallScales), len(c.LargeScales))
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Interval sources: how a band's width was derived.
 const (
@@ -44,47 +41,35 @@ func NormalizeCoverage(v float64) (float64, error) {
 	return v, nil
 }
 
-// PredictInterval returns, per target scale, a heuristic uncertainty band
-// derived from the interpolation level's tree-ensemble spread: the q and
-// 1-q quantiles of per-tree predictions form pessimistic and optimistic
-// small-scale curves, and each is pushed through the extrapolation level.
-//
-// The band reflects the interpolation level's epistemic uncertainty about
-// the configuration (wide where the parameter space is sparsely covered);
-// it does not account for extrapolation-level model error, so treat it as
-// a lower bound on the true uncertainty. q must be in (0, 0.5).
-func (m *TwoLevelModel) PredictInterval(params []float64, q float64) []Interval {
-	if q <= 0 || q >= 0.5 {
-		panic(fmt.Sprintf("core: interval quantile %v outside (0, 0.5)", q))
+// Intervals returns, per target scale, a band at ev.Coverage around
+// ev.Runtimes. Where the model's split-conformal calibration (models the
+// pipeline trains carry one) certifies the coverage for the
+// configuration's cluster at a scale, the band is [mid/exp(q̂),
+// mid·exp(q̂)], with conformal prediction's finite-sample guarantee.
+// Elsewhere it is the ensemble band: the per-tree quantile curves at
+// matching tail mass pushed through the extrapolation level, the
+// midpoint clamped into it. That band reflects only the interpolation
+// level's uncertainty, a lower bound on the true one. Source marks which
+// band each interval is.
+func (m *TwoLevelModel) Intervals(ev *Eval) []Interval {
+	if ev.Coverage == 0 {
+		panic("core: interval coverage 0; Evaluate with a coverage in (0, 1)")
 	}
-	k := len(m.Cfg.SmallScales)
-	loCurve := make([]float64, k)
-	midCurve := make([]float64, k)
-	hiCurve := make([]float64, k)
-	qs := [2]float64{q, 1 - q}
-	var band [2]float64
-	var scratch []float64
-	for i, f := range m.compiled {
-		if n := f.E.NumTrees(); len(scratch) < n {
-			scratch = make([]float64, n)
-		}
-		mid := f.PredictQuantilesInto(params, qs[:], scratch, band[:])
-		lo, hi := band[0], band[1]
-		if m.Cfg.LogInterpolation {
-			lo, mid, hi = math.Exp(lo), math.Exp(mid), math.Exp(hi)
-		}
-		loCurve[i], midCurve[i], hiCurve[i] = lo, mid, hi
-	}
-	loPred := m.PredictFromCurve(loCurve)
-	midPred := m.PredictFromCurve(midCurve)
-	hiPred := m.PredictFromCurve(hiCurve)
 	out := make([]Interval, len(m.Cfg.LargeScales))
+	var loPred, hiPred []float64 // the ensemble band, extrapolated at most once
 	for i, s := range m.Cfg.LargeScales {
+		mid := ev.Runtimes[i]
+		if f, ok := m.Meta.Calibration.Factor(ev.Cluster, s, ev.Coverage); ok {
+			out[i] = Interval{Scale: s, Lo: mid / f, Mid: mid, Hi: mid * f, Source: IntervalConformal}
+			continue
+		}
+		if loPred == nil {
+			loPred, hiPred = m.PredictFromCurve(ev.lo), m.PredictFromCurve(ev.hi)
+		}
 		lo, hi := loPred[i], hiPred[i]
 		if lo > hi { // extrapolation can reorder the band; normalize
 			lo, hi = hi, lo
 		}
-		mid := midPred[i]
 		if mid < lo {
 			mid = lo
 		}
@@ -97,46 +82,9 @@ func (m *TwoLevelModel) PredictInterval(params []float64, q float64) []Interval 
 }
 
 // PredictIntervalCov returns, per target scale, an interval targeting the
-// given coverage level in (0, 1). When the model carries a split-conformal
-// calibration (pipeline-trained models do) and the holdout was large
-// enough at a scale, the band is the calibrated multiplicative interval
-// [mid/exp(q̂), mid·exp(q̂)] for the configuration's shape cluster — with
-// the finite-sample guarantee conformal prediction provides. Scales the
-// calibration cannot certify (and uncalibrated models entirely) fall back
-// to the ensemble-spread band at matching tail mass, marked by Source.
+// given coverage level in (0, 1); see Intervals. It panics outside that
+// range.
 func (m *TwoLevelModel) PredictIntervalCov(params []float64, coverage float64) []Interval {
-	if coverage <= 0 || coverage >= 1 {
-		panic(fmt.Sprintf("core: interval coverage %v outside (0, 1)", coverage))
-	}
-	var ens []Interval // ensemble fallback, computed at most once
-	ensemble := func() []Interval {
-		if ens == nil {
-			ens = m.PredictInterval(params, (1-coverage)/2)
-		}
-		return ens
-	}
-	cal := m.Meta.Calibration
-	if cal == nil {
-		return ensemble()
-	}
-	cluster := m.AssignCluster(params)
-	mid := m.Predict(params)
-	out := make([]Interval, len(m.Cfg.LargeScales))
-	for i, s := range m.Cfg.LargeScales {
-		if f, ok := cal.Factor(cluster, s, coverage); ok {
-			out[i] = Interval{Scale: s, Lo: mid[i] / f, Mid: mid[i], Hi: mid[i] * f, Source: IntervalConformal}
-		} else {
-			out[i] = ensemble()[i]
-		}
-	}
-	return out
-}
-
-// Width returns the relative width (Hi-Lo)/Mid of the interval; 0 when
-// the midpoint is zero.
-func (iv Interval) Width() float64 {
-	if iv.Mid == 0 {
-		return 0
-	}
-	return (iv.Hi - iv.Lo) / iv.Mid
+	ev := m.Evaluate(params, coverage)
+	return m.Intervals(&ev)
 }

@@ -19,7 +19,7 @@ func TestPredictIntervalOrderingAndCoverage(t *testing.T) {
 	}
 	covered, total := 0, 0
 	for _, c := range test.GroupByConfig() {
-		ivs := m.PredictInterval(c.Params, 0.1)
+		ivs := m.PredictIntervalCov(c.Params, 0.8)
 		if len(ivs) != len(cfg.LargeScales) {
 			t.Fatalf("%d intervals", len(ivs))
 		}
@@ -29,9 +29,6 @@ func TestPredictIntervalOrderingAndCoverage(t *testing.T) {
 			}
 			if iv.Lo <= 0 {
 				t.Fatalf("non-positive interval bound: %+v", iv)
-			}
-			if iv.Width() < 0 {
-				t.Fatalf("negative width: %+v", iv)
 			}
 			truth, ok := c.Runtimes[iv.Scale]
 			if !ok {
@@ -59,7 +56,7 @@ func TestPredictIntervalMidMatchesPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := test.GroupByConfig()[0].Params
-	ivs := m.PredictInterval(probe, 0.2)
+	ivs := m.PredictIntervalCov(probe, 0.6)
 	pred := m.Predict(probe)
 	for i, iv := range ivs {
 		// Mid is the point prediction clamped into the band
@@ -76,14 +73,14 @@ func TestPredictIntervalQuantilePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []float64{0, 0.5, -0.1, 1} {
+	for _, cov := range []float64{0, 1, -0.1, 1.5} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("q=%v did not panic", q)
+					t.Fatalf("coverage %v did not panic", cov)
 				}
 			}()
-			m.PredictInterval([]float64{64, 64, 64, 6}, q)
+			m.PredictIntervalCov([]float64{64, 64, 64, 6}, cov)
 		}()
 	}
 }
@@ -96,11 +93,11 @@ func TestNarrowerQuantileWidensInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := test.GroupByConfig()[0].Params
-	tight := m.PredictInterval(probe, 0.25)
-	wide := m.PredictInterval(probe, 0.05)
+	tight := m.PredictIntervalCov(probe, 0.5)
+	wide := m.PredictIntervalCov(probe, 0.9)
 	for i := range tight {
 		if wide[i].Hi-wide[i].Lo < tight[i].Hi-tight[i].Lo-1e-12 {
-			t.Fatalf("q=0.05 band narrower than q=0.25 at scale %d", tight[i].Scale)
+			t.Fatalf("coverage 0.9 band narrower than coverage 0.5 at scale %d", tight[i].Scale)
 		}
 	}
 }
@@ -140,7 +137,15 @@ func TestPredictIntervalCovFallsBackWithoutCalibration(t *testing.T) {
 	}
 	probe := test.GroupByConfig()[0].Params
 	got := m.PredictIntervalCov(probe, 0.8)
-	want := m.PredictInterval(probe, 0.1) // same tail mass
+	// Three scores per scale cannot certify 0.8, so a calibrated model
+	// falls back at every scale and must serve the same ensemble band.
+	uncertified := *m
+	uncertified.Meta.Calibration = &uncertainty.Calibration{}
+	for _, s := range cfg.LargeScales {
+		uncertified.Meta.Calibration.Pooled = append(uncertified.Meta.Calibration.Pooled,
+			uncertainty.ScaleCalib{Scale: s, Scores: []float64{0.1, 0.2, 0.3}})
+	}
+	want := uncertified.PredictIntervalCov(probe, 0.8)
 	if len(got) != len(want) {
 		t.Fatalf("%d vs %d intervals", len(got), len(want))
 	}

@@ -402,7 +402,12 @@ func (m *TwoLevelModel) PredictFromCurveInto(curve, dst []float64) []float64 {
 	if len(dst) != len(m.Cfg.LargeScales) {
 		panic(fmt.Sprintf("core: PredictFromCurveInto dst has %d entries, model has %d target scales", len(dst), len(m.Cfg.LargeScales)))
 	}
-	c := m.assign(curve)
+	return m.extrapolateInto(m.assign(curve), curve, dst)
+}
+
+// extrapolateInto runs cluster c's extrapolation model on a small-scale
+// curve, writing the runtime at every target scale into dst.
+func (m *TwoLevelModel) extrapolateInto(c int, curve, dst []float64) []float64 {
 	if m.Cfg.Mode == ModeAnchored {
 		return m.predictAnchoredInto(c, curve, dst)
 	}
@@ -410,24 +415,6 @@ func (m *TwoLevelModel) PredictFromCurveInto(curve, dst []float64) []float64 {
 		dst[i] = m.predictBasisAt(c, curve, s)
 	}
 	return dst
-}
-
-// PredictAt predicts the runtime at one scale. In ModeAnchored the scale
-// must be one of Cfg.LargeScales; ModeBasis accepts any scale >= 1.
-func (m *TwoLevelModel) PredictAt(params []float64, scale int) (float64, error) {
-	curve := m.PredictSmall(params)
-	for i, s := range m.Cfg.LargeScales {
-		if s == scale {
-			return m.PredictFromCurve(curve)[i], nil
-		}
-	}
-	if m.Cfg.Mode == ModeAnchored {
-		return 0, fmt.Errorf("core: scale %d is not an anchored-model target %v", scale, m.Cfg.LargeScales)
-	}
-	if scale < 1 {
-		return 0, fmt.Errorf("core: scale %d < 1", scale)
-	}
-	return m.predictBasisAt(m.assign(curve), curve, scale), nil
 }
 
 // AssignCluster returns the scaling-behaviour cluster a configuration's

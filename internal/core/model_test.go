@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/forest"
 	"repro/internal/hpcsim"
+	"repro/internal/linmod"
 	"repro/internal/rng"
 	"repro/internal/scalefit"
 	"repro/internal/stats"
@@ -319,10 +320,6 @@ func TestBasisSupportProperties(t *testing.T) {
 		if len(cm.Support) > len(cfg.SmallScales)-1 {
 			t.Fatalf("cluster %d support larger than fit points allow", c)
 		}
-		terms := m.SupportTerms(c)
-		if len(terms) != len(cm.Support)+1 || terms[0] != "1" {
-			t.Fatalf("SupportTerms = %v", terms)
-		}
 	}
 }
 
@@ -334,6 +331,10 @@ func TestConfigValidation(t *testing.T) {
 		{SmallScales: []int{4, 8}, LargeScales: []int{128}},             // too few small scales
 		{SmallScales: []int{0, 2, 4, 8}, LargeScales: []int{128}},       // scale < 1
 		{Mode: "bogus"}, // unknown mode
+		{Basis: []scalefit.Term{{A: math.Inf(1)}}},              // non-finite power exponent
+		{Basis: []scalefit.Term{{A: 1, B: maxLogExponent + 1}}}, // log exponent too large
+		{CVLambdas: maxCVLambdas + 1},                           // selection grid too large
+		{Lasso: linmod.Options{MaxIter: maxLassoIter + 1}},      // too many sweeps
 	}
 	tbl := dataset.NewTable("x", []string{"a"})
 	tbl.Add(dataset.Run{Params: []float64{1}, Scale: 4, Runtime: 1})
@@ -394,8 +395,9 @@ func TestPredictAt(t *testing.T) {
 	}
 	probe := test.GroupByConfig()[0].Params
 	all := m.Predict(probe)
+	ev := m.Evaluate(probe, 0)
 	for i, s := range cfg.LargeScales {
-		v, err := m.PredictAt(probe, s)
+		v, err := m.PredictAt(&ev, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +406,7 @@ func TestPredictAt(t *testing.T) {
 		}
 	}
 	// anchored mode rejects non-target scales
-	if _, err := m.PredictAt(probe, 777); err == nil {
+	if _, err := m.PredictAt(&ev, 777); err == nil {
 		t.Fatal("anchored PredictAt accepted arbitrary scale")
 	}
 }
@@ -418,11 +420,12 @@ func TestBasisPredictAtArbitraryScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := test.GroupByConfig()[0].Params
-	v, err := m.PredictAt(probe, 777)
+	ev := m.Evaluate(probe, 0)
+	v, err := m.PredictAt(&ev, 777)
 	if err != nil || v <= 0 {
 		t.Fatalf("basis PredictAt(777) = %v, %v", v, err)
 	}
-	if _, err := m.PredictAt(probe, 0); err == nil {
+	if _, err := m.PredictAt(&ev, 0); err == nil {
 		t.Fatal("accepted scale 0")
 	}
 }

@@ -98,7 +98,7 @@ func Load(path string) (*TwoLevelModel, error) {
 // validateLoaded sanity-checks structural invariants after deserialization
 // so a corrupt file fails at load time, not at first prediction.
 func (m *TwoLevelModel) validateLoaded() error {
-	if err := m.Cfg.checkScales(); err != nil {
+	if err := m.Cfg.check(); err != nil {
 		return err
 	}
 	if m.Cfg.Mode == ModeBasis && (len(m.Cfg.Basis) == 0 || m.Cfg.MaxTerms < 1 || m.Cfg.MaxTerms >= len(m.Cfg.SmallScales)) {

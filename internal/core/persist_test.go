@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/scalefit"
 	"repro/internal/tree"
 )
 
@@ -223,8 +224,9 @@ func fitClustered(t *testing.T) (*TwoLevelModel, []float64) {
 // have been damaged in one way each. Dense.Row slices by Cols, so a
 // short Data slice silently reads past its end and a wrong Cols either
 // misaligns every row or panics at the first prediction; the scale and
-// basis cases panic at the first prediction. Each case must come back
-// from Read as an error naming it.
+// basis-size cases panic at the first prediction, and the unbounded
+// loop counts (a log exponent, the lasso's grid and sweeps) make it
+// hang. Each case must come back from Read as an error naming it.
 func TestReadRejectsMalformedShapes(t *testing.T) {
 	m, p := fitClustered(t)
 	var raw bytes.Buffer
@@ -268,6 +270,17 @@ func TestReadRejectsMalformedShapes(t *testing.T) {
 			m.Cfg.Mode = ModeBasis
 			m.Cfg.MaxTerms = -1
 		}},
+		{"basis log exponent", "log exponent 1073741824 outside", func(m *TwoLevelModel) {
+			m.Cfg.Basis[0].B = 1 << 30
+		}},
+		{"basis negative log exponent", "log exponent -1 outside", func(m *TwoLevelModel) {
+			m.Cfg.Basis[0].B = -1
+		}},
+		{"basis terms", "basis terms, at most", func(m *TwoLevelModel) {
+			m.Cfg.Basis = make([]scalefit.Term, maxBasisTerms+1)
+		}},
+		{"cv lambdas", "CVLambdas 1000000 above", func(m *TwoLevelModel) { m.Cfg.CVLambdas = 1e6 }},
+		{"lasso max iter", "Lasso.MaxIter 1000000000 above", func(m *TwoLevelModel) { m.Cfg.Lasso.MaxIter = 1e9 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -279,67 +279,3 @@ func LambdaMax(x *mat.Dense, y []float64) float64 {
 	}
 	return best
 }
-
-// LassoPath fits the lasso at k log-spaced lambdas from LambdaMax down to
-// LambdaMax*epsRatio, warm-starting each fit from the previous solution.
-// It returns the lambdas (descending) and one model per lambda.
-func LassoPath(x *mat.Dense, y []float64, k int, epsRatio float64, opt Options) ([]float64, []*Model) {
-	if k < 2 {
-		panic("linmod: LassoPath needs k >= 2")
-	}
-	if epsRatio <= 0 || epsRatio >= 1 {
-		panic("linmod: epsRatio must be in (0,1)")
-	}
-	opt = opt.withDefaults()
-	lmax := LambdaMax(x, y)
-	if lmax == 0 {
-		lmax = 1e-12
-	}
-	lambdas := make([]float64, k)
-	for i := 0; i < k; i++ {
-		f := float64(i) / float64(k-1)
-		lambdas[i] = lmax * math.Pow(epsRatio, f)
-	}
-	// warm-started path in standardized space
-	s := standardize(x, y)
-	n := float64(x.Rows)
-	p := x.Cols
-	beta := make([]float64, p)
-	resid := append([]float64(nil), s.y...)
-	models := make([]*Model, k)
-	for li, lam := range lambdas {
-		l1 := lam * n
-		for it := 0; it < opt.MaxIter; it++ {
-			var maxDelta float64
-			for j := 0; j < p; j++ {
-				cn := s.colNorm[j]
-				if cn == 0 {
-					continue
-				}
-				old := beta[j]
-				var rho float64
-				for i := 0; i < x.Rows; i++ {
-					rho += s.x.At(i, j) * resid[i]
-				}
-				rho += cn * old
-				newb := softThreshold(rho, l1) / cn
-				//lint:allow floateq -- no-op update skip: both values come from the identical computation
-				if newb != old {
-					d := newb - old
-					for i := 0; i < x.Rows; i++ {
-						resid[i] -= d * s.x.At(i, j)
-					}
-					beta[j] = newb
-					if ad := math.Abs(d); ad > maxDelta {
-						maxDelta = ad
-					}
-				}
-			}
-			if maxDelta < opt.Tol {
-				break
-			}
-		}
-		models[li] = s.unstandardize(append([]float64(nil), beta...))
-	}
-	return lambdas, models
-}

@@ -217,36 +217,6 @@ func TestElasticNetBadParamsPanics(t *testing.T) {
 	ElasticNet(mat.NewDense(2, 1), []float64{1, 2}, 0.1, 2, Options{})
 }
 
-func TestLassoPathMonotoneSparsity(t *testing.T) {
-	r := rng.New(8)
-	x, y := sparseData(r, 150, 10, 0.1)
-	lambdas, models := LassoPath(x, y, 20, 1e-3, Options{})
-	if len(lambdas) != 20 || len(models) != 20 {
-		t.Fatalf("path sizes %d/%d", len(lambdas), len(models))
-	}
-	for i := 1; i < len(lambdas); i++ {
-		if lambdas[i] >= lambdas[i-1] {
-			t.Fatal("lambdas not strictly descending")
-		}
-	}
-	// first model (lambda = lambda_max) must be all zeros
-	for _, c := range models[0].Coef {
-		if c != 0 {
-			t.Fatalf("model at lambda_max has non-zero coef: %v", models[0].Coef)
-		}
-	}
-	// training error must not increase as lambda decreases
-	prevErr := math.Inf(1)
-	for _, m := range models {
-		pred := m.PredictBatch(x, nil)
-		e := stats.RMSE(y, pred)
-		if e > prevErr+1e-6 {
-			t.Fatalf("training error increased along path: %v -> %v", prevErr, e)
-		}
-		prevErr = e
-	}
-}
-
 func TestPredictBatchAndDimPanic(t *testing.T) {
 	m := &Model{Coef: []float64{2}, Intercept: 1}
 	x := mat.FromRows([][]float64{{1}, {2}})

@@ -27,7 +27,6 @@ func calibrate(m *core.TwoLevelModel, holdout *dataset.Table) *uncertainty.Calib
 		scaleIdx[s] = i
 	}
 	cal := uncertainty.NewCalibrator(scales, m.Clusters())
-	pred := make([]float64, len(scales))
 	for _, c := range holdout.GroupByConfig() {
 		predicted := false
 		for s := range c.Runtimes {
@@ -39,11 +38,10 @@ func calibrate(m *core.TwoLevelModel, holdout *dataset.Table) *uncertainty.Calib
 		if !predicted {
 			continue // nothing measured at a target scale; skip the predict
 		}
-		m.PredictInto(c.Params, pred)
-		cluster := m.AssignCluster(c.Params)
+		ev := m.Evaluate(c.Params, 0)
 		for s, actual := range c.Runtimes {
 			if i, ok := scaleIdx[s]; ok {
-				cal.Add(cluster, i, pred[i], actual)
+				cal.Add(ev.Cluster, i, ev.Runtimes[i], actual)
 			}
 		}
 	}

@@ -127,18 +127,22 @@ func evaluateGate(cand, inc *core.TwoLevelModel, holdout *dataset.Table, scales 
 	var candAll, incAll, trueAll []float64
 	configs := holdout.GroupByConfig()
 	measured := map[string]bool{}
+	// Each model evaluates a held-out configuration once, on first use,
+	// and answers every scale from that evaluation.
+	candEvals := make([]core.Eval, len(configs))
+	incEvals := make([]core.Eval, len(configs))
 	for _, scale := range scales {
 		var yTrue, yCand, yInc []float64
-		for _, c := range configs {
+		for i, c := range configs {
 			rt, ok := c.Runtimes[scale]
 			if !ok {
 				continue
 			}
 			measured[dataset.ParamKey(c.Params)] = true
 			yTrue = append(yTrue, rt)
-			yCand = append(yCand, predictAt(cand, c.Params, scale))
+			yCand = append(yCand, predictAt(cand, &candEvals[i], c.Params, scale))
 			if inc != nil {
-				yInc = append(yInc, predictAt(inc, c.Params, scale))
+				yInc = append(yInc, predictAt(inc, &incEvals[i], c.Params, scale))
 			}
 		}
 		if len(yTrue) == 0 {
@@ -197,11 +201,15 @@ func evaluateGate(cand, inc *core.TwoLevelModel, holdout *dataset.Table, scales 
 	return res
 }
 
-// predictAt evaluates one model at one scale, tolerating models whose
-// target set does not include the scale (NaN contributes a pessimal
-// error instead of aborting the gate).
-func predictAt(m *core.TwoLevelModel, params []float64, scale int) float64 {
-	v, err := m.PredictAt(params, scale)
+// predictAt answers one model at one scale from the configuration's
+// evaluation, running it into ev on first use. A model whose target set
+// does not include the scale gives NaN, a pessimal error, instead of
+// aborting the gate.
+func predictAt(m *core.TwoLevelModel, ev *core.Eval, params []float64, scale int) float64 {
+	if ev.Runtimes == nil {
+		*ev = m.Evaluate(params, 0)
+	}
+	v, err := m.PredictAt(ev, scale)
 	if err != nil {
 		return math.NaN()
 	}

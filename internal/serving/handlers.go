@@ -514,36 +514,37 @@ func (s *Server) computeRange(ctx context.Context, entry *Entry, req *PredictReq
 	return -1, nil
 }
 
-// computeResult runs the actual model for one configuration. cfg is
-// copied: the result outlives the request in the cache, while cfg's
-// backing array belongs to the pooled request object.
+// computeResult runs the actual model for one configuration: one
+// Evaluate (the model_eval span), then the bands at the requested
+// coverage (the calibration span). cfg is copied: the result outlives
+// the request in the cache, while cfg's backing array belongs to the
+// pooled request object.
 func computeResult(m *core.TwoLevelModel, req *PredictRequest, cfg []float64, rt *obs.ReqTrace) (*ConfigResult, error) {
 	es := rt.StartSpan()
+	// Interval is a normalized coverage by here (see handlePredict), 0
+	// when no band was asked for.
+	ev := m.Evaluate(cfg, req.Interval)
 	res := &ConfigResult{
-		Params:  append([]float64(nil), cfg...),
-		Cluster: m.AssignCluster(cfg),
+		Params:   append([]float64(nil), cfg...),
+		Cluster:  ev.Cluster,
+		Scales:   m.Cfg.LargeScales,
+		Runtimes: ev.Runtimes,
 	}
 	if req.Small {
-		res.Small = m.PredictSmall(cfg)
+		res.Small = ev.Small
 	}
 	if req.At > 0 {
-		v, err := m.PredictAt(cfg, req.At)
+		v, err := m.PredictAt(&ev, req.At)
 		if err != nil {
 			return nil, err
 		}
 		res.Scales = []int{req.At}
 		res.Runtimes = []float64{v}
-		rt.EndSpan("model_eval", es)
-		return res, nil
 	}
-	res.Scales = m.Cfg.LargeScales
-	res.Runtimes = m.Predict(cfg)
 	rt.EndSpan("model_eval", es)
 	if req.Interval > 0 {
-		// Interval is a normalized coverage by here (see handlePredict);
-		// calibrated models answer conformally, others from tree spread.
 		is := rt.StartSpan()
-		res.Intervals = m.PredictIntervalCov(cfg, req.Interval)
+		res.Intervals = m.Intervals(&ev)
 		rt.EndSpan("calibration", is)
 	}
 	return res, nil

@@ -78,10 +78,7 @@ func TestPredictBatchOptionsAndCaching(t *testing.T) {
 	}
 	for i, res := range resp.Results {
 		p := params[i]
-		want, err := m.PredictAt(p, req.At)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := m.Predict(p)[1] // req.At is the second target scale
 		if len(res.Runtimes) != 1 || res.Runtimes[0] != want {
 			t.Fatalf("result %d: runtimes %v, want [%v]", i, res.Runtimes, want)
 		}

@@ -31,7 +31,7 @@ func latencyBounds() []time.Duration {
 // marked by the explicit "+Inf" bound (obs.BucketBound), not the old
 // ambiguous 0 sentinel.
 type (
-	HistogramBucket  = obs.HistogramBucket
+	HistogramBucket   = obs.HistogramBucket
 	HistogramSnapshot = obs.HistogramSnapshot
 )
 

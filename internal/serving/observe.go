@@ -102,7 +102,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, rt *obs.R
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("observation %d has non-positive runtime %v", i, o.Runtime))
 			return
 		}
-		ivs := m.PredictIntervalCov(o.Params, coverage)
+		ev := m.Evaluate(o.Params, coverage)
+		ivs := m.Intervals(&ev)
 		var res ObserveResult
 		found := false
 		for _, iv := range ivs {

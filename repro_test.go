@@ -104,7 +104,8 @@ func TestBasisModeViaFacade(t *testing.T) {
 	if m.Mode() != repro.ModeBasis {
 		t.Fatalf("mode = %q", m.Mode())
 	}
-	if v, err := m.PredictAt(cfgs[0], 300); err != nil || v <= 0 {
+	ev := m.Evaluate(cfgs[0], 0)
+	if v, err := m.PredictAt(&ev, 300); err != nil || v <= 0 {
 		t.Fatalf("PredictAt = %v, %v", v, err)
 	}
 }
