@@ -3,15 +3,20 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt lint lint-audit lint-sarif test race bench-paper bench-serving clean
+.PHONY: verify build vet vet-perfbench fmt lint lint-audit lint-sarif test race bench-paper bench-serving clean
 
-verify: build vet fmt lint lint-audit race
+verify: build vet vet-perfbench fmt lint lint-audit race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# _perfbench is a module of its own (the BENCHMARK.json driver) that
+# imports this module's packages, so `go vet ./...` above skips it.
+vet-perfbench:
+	cd _perfbench && $(GO) vet ./...
 
 # Formatting gate: fails when any file is not gofmt-clean (`gofmt -l .`
 # lists them).

@@ -155,7 +155,7 @@ func cmdRun(args []string) {
 	}
 	for _, a := range apps {
 		if *kick {
-			p.Kick(a)
+			p.Kick(a, "", "")
 		}
 		res, err := p.RunOnce(a, stamp())
 		if err != nil {
@@ -199,7 +199,7 @@ func cmdStatus(args []string) {
 		line := fmt.Sprintf("%s: %d records, %d params", a, store.Count(a), len(names))
 		if gen, ok := p.Journal().Active(a); ok {
 			line += fmt.Sprintf(", active gen %d", gen)
-			if m, err := core.Load(p.Promoter().ModelPath(a, gen)); err != nil {
+			if m, err := core.Load(p.ModelPath(a, gen)); err != nil {
 				line += fmt.Sprintf(" (unreadable: %v)", err)
 			} else if _, total := m.Meta.Calibration.Samples(); total > 0 {
 				line += fmt.Sprintf(", calibrated (%d residuals)", total)

@@ -182,7 +182,7 @@ func main() {
 		// request ID of the observation that tipped the floor.
 		opts.OnDrift = func(model, reason, origin string) {
 			logger.Warn("drift breach, kicking retrain", "model", model, "reason", reason, "origin", origin)
-			p.KickOrigin(model, reason, origin)
+			p.Kick(model, reason, origin)
 		}
 	} else {
 		opts.OnDrift = func(model, reason, origin string) {

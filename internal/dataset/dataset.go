@@ -73,21 +73,6 @@ func (t *Table) FilterScale(s int) *Table {
 	return out
 }
 
-// FilterScales returns a new table containing only runs whose scale is in keep.
-func (t *Table) FilterScales(keep []int) *Table {
-	set := map[int]bool{}
-	for _, s := range keep {
-		set[s] = true
-	}
-	out := NewTable(t.App, t.ParamNames)
-	for _, r := range t.Runs {
-		if set[r.Scale] {
-			out.Runs = append(out.Runs, r)
-		}
-	}
-	return out
-}
-
 // XY extracts the feature matrix (parameters only) and runtime targets.
 func (t *Table) XY() (*mat.Dense, []float64) {
 	x := mat.NewDense(len(t.Runs), len(t.ParamNames))
@@ -176,42 +161,6 @@ func (c Config) Curve(scales []int) (curve []float64, ok bool) {
 	return curve, true
 }
 
-// SplitConfigs partitions the distinct configurations of t into train and
-// test tables with the given test fraction, keeping all scales of a
-// configuration on the same side (the unit of generalization in the paper
-// is a configuration, not a single run).
-func (t *Table) SplitConfigs(r *rng.Source, testFrac float64) (train, test *Table) {
-	if testFrac < 0 || testFrac >= 1 {
-		panic(fmt.Sprintf("dataset: bad test fraction %v", testFrac))
-	}
-	keys := []string{}
-	seen := map[string]bool{}
-	for _, run := range t.Runs {
-		k := ParamKey(run.Params)
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	perm := r.Perm(len(keys))
-	nTest := int(float64(len(keys)) * testFrac)
-	testSet := map[string]bool{}
-	for _, i := range perm[:nTest] {
-		testSet[keys[i]] = true
-	}
-	train = NewTable(t.App, t.ParamNames)
-	test = NewTable(t.App, t.ParamNames)
-	for _, run := range t.Runs {
-		if testSet[ParamKey(run.Params)] {
-			test.Runs = append(test.Runs, run)
-		} else {
-			train.Runs = append(train.Runs, run)
-		}
-	}
-	return train, test
-}
-
 // Fold is one cross-validation fold given as row indices into a table.
 type Fold struct {
 	Train, Test []int
@@ -235,16 +184,6 @@ func KFold(r *rng.Source, n, k int) []Fold {
 		folds[f] = Fold{Train: train, Test: test}
 	}
 	return folds
-}
-
-// Subset returns a new table containing the runs at the given indices.
-func (t *Table) Subset(idx []int) *Table {
-	out := NewTable(t.App, t.ParamNames)
-	out.Runs = make([]Run, len(idx))
-	for i, j := range idx {
-		out.Runs[i] = t.Runs[j]
-	}
-	return out
 }
 
 // Merge appends all runs of other (which must have the same columns).

@@ -48,13 +48,6 @@ func TestFilterScale(t *testing.T) {
 	}
 }
 
-func TestFilterScales(t *testing.T) {
-	f := sampleTable().FilterScales([]int{8})
-	if f.Len() != 3 {
-		t.Fatalf("FilterScales([8]) has %d runs", f.Len())
-	}
-}
-
 func TestXY(t *testing.T) {
 	x, y := sampleTable().XY()
 	if x.Rows != 5 || x.Cols != 2 {
@@ -106,41 +99,6 @@ func TestConfigCurve(t *testing.T) {
 	}
 }
 
-func TestSplitConfigsKeepsConfigsTogether(t *testing.T) {
-	r := rng.New(1)
-	tb := NewTable("x", []string{"p"})
-	for c := 0; c < 40; c++ {
-		for _, s := range []int{2, 4, 8} {
-			tb.Add(Run{Params: []float64{float64(c)}, Scale: s, Runtime: float64(s)})
-		}
-	}
-	train, test := tb.SplitConfigs(r, 0.25)
-	if train.Len()+test.Len() != tb.Len() {
-		t.Fatal("split lost runs")
-	}
-	if test.Len() != 30 { // 10 configs * 3 scales
-		t.Fatalf("test has %d runs, want 30", test.Len())
-	}
-	trainKeys := map[string]bool{}
-	for _, r := range train.Runs {
-		trainKeys[ParamKey(r.Params)] = true
-	}
-	for _, r := range test.Runs {
-		if trainKeys[ParamKey(r.Params)] {
-			t.Fatal("config leaked across split")
-		}
-	}
-}
-
-func TestSplitConfigsBadFraction(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	sampleTable().SplitConfigs(rng.New(1), 1.0)
-}
-
 func TestKFoldPartition(t *testing.T) {
 	r := rng.New(2)
 	folds := KFold(r, 10, 3)
@@ -177,14 +135,6 @@ func TestKFoldPanics(t *testing.T) {
 		}
 	}()
 	KFold(rng.New(1), 3, 5)
-}
-
-func TestSubset(t *testing.T) {
-	tb := sampleTable()
-	sub := tb.Subset([]int{0, 3})
-	if sub.Len() != 2 || sub.Runs[1].Runtime != 12 {
-		t.Fatalf("Subset = %+v", sub.Runs)
-	}
 }
 
 func TestMerge(t *testing.T) {

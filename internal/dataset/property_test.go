@@ -46,39 +46,6 @@ func TestCSVRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestSplitConfigsPartitionProperty: for any table and fraction, the split
-// is a partition at configuration granularity.
-func TestSplitConfigsPartitionProperty(t *testing.T) {
-	f := func(seed uint16, fracRaw uint8) bool {
-		r := rng.New(uint64(seed) + 7)
-		frac := float64(fracRaw%90) / 100
-		tb := NewTable("prop", []string{"p"})
-		nCfg := 3 + r.Intn(30)
-		for c := 0; c < nCfg; c++ {
-			for s := 1; s <= 1+r.Intn(4); s++ {
-				tb.Add(Run{Params: []float64{float64(c)}, Scale: s << 1, Runtime: 1})
-			}
-		}
-		train, test := tb.SplitConfigs(r, frac)
-		if train.Len()+test.Len() != tb.Len() {
-			return false
-		}
-		inTrain := map[string]bool{}
-		for _, run := range train.Runs {
-			inTrain[ParamKey(run.Params)] = true
-		}
-		for _, run := range test.Runs {
-			if inTrain[ParamKey(run.Params)] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGroupByConfigCountProperty: grouping never loses or invents
 // configurations, and averages preserve the runtime sum per (config,scale).
 func TestGroupByConfigCountProperty(t *testing.T) {

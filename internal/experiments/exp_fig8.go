@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/hpcsim"
+	"repro/internal/rng"
 )
 
 // runFig8 (beyond-paper extension) repeats the headline comparison on
@@ -51,7 +52,7 @@ func machineSetup(app hpcsim.App, p Protocol, machine *hpcsim.Machine) (*Setup, 
 	}
 	eng := hpcsim.NewEngine(machine, p.Seed)
 	sp := app.Space()
-	r := rngFor(p.Seed ^ 0x5eed)
+	r := rng.New(p.Seed ^ 0x5eed)
 	trainCfgs := sp.SampleLatinHypercube(r, p.NumConfigs)
 	testCfgs := sp.SampleLatinHypercube(r, p.NumTest)
 	train, err := eng.GenerateHistory(app, hpcsim.HistorySpec{Configs: trainCfgs, Scales: p.SmallScales, Reps: p.Reps})

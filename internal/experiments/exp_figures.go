@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/hpcsim"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -299,7 +300,7 @@ func noisySetup(app hpcsim.App, p Protocol, sigma float64) (*Setup, error) {
 	}
 	// regenerate both tables under the adjusted engine
 	sp := app.Space()
-	r := rngFor(p.Seed ^ 0x5eed)
+	r := rng.New(p.Seed ^ 0x5eed)
 	trainCfgs := sp.SampleLatinHypercube(r, p.NumConfigs)
 	testCfgs := sp.SampleLatinHypercube(r, p.NumTest)
 	train, err := eng.GenerateHistory(app, hpcsim.HistorySpec{Configs: trainCfgs, Scales: p.SmallScales, Reps: p.Reps})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -45,7 +46,7 @@ func runTable5(p Protocol) ([]*Report, error) {
 				// methods must be compared on identical points
 				return nil, fmt.Errorf("experiments: %s evaluated %d points, two-level %d", name, len(yt), len(yTrue))
 			}
-			lo, hi := stats.PairedBootstrapMAPEDiff(rngFor(p.Seed+167), yTrue, predTwo, predBase, bootstraps, 0.05)
+			lo, hi := stats.PairedBootstrapMAPEDiff(rng.New(p.Seed+167), yTrue, predTwo, predBase, bootstraps, 0.05)
 			verdict := "no"
 			switch {
 			case hi < 0:

@@ -139,30 +139,15 @@ func (s *Setup) FitTwoLevel(seed uint64, cfg core.Config) (*core.TwoLevelModel, 
 // its measured small-scale curve (for curve-based methods) and returns
 // the predicted runtime; returning NaN skips the point.
 func (s *Setup) EvalAtScale(scale int, predict func(cfg dataset.Config, curve []float64) float64) (float64, int) {
-	var yTrue, yPred []float64
-	for _, c := range s.Test.GroupByConfig() {
-		rt, ok := c.Runtimes[scale]
-		if !ok {
-			continue
-		}
-		curve, ok := c.Curve(s.Protocol.SmallScales)
-		if !ok {
-			continue
-		}
-		p := predict(c, curve)
-		if math.IsNaN(p) {
-			continue
-		}
-		yTrue = append(yTrue, rt)
-		yPred = append(yPred, p)
-	}
+	yTrue, yPred := s.PairsAtScale(scale, predict)
 	if len(yTrue) == 0 {
 		return 0, 0
 	}
 	return stats.MAPE(yTrue, yPred), len(yTrue)
 }
 
-// PairsAtScale returns aligned (true, predicted) runtimes at one scale.
+// PairsAtScale returns aligned (true, predicted) runtimes at one scale,
+// under EvalAtScale's rules for which configurations count.
 func (s *Setup) PairsAtScale(scale int, predict func(cfg dataset.Config, curve []float64) float64) (yTrue, yPred []float64) {
 	for _, c := range s.Test.GroupByConfig() {
 		rt, ok := c.Runtimes[scale]

@@ -92,24 +92,29 @@ type Config struct {
 
 	// QueueCapacity bounds the total number of queued waiters (default
 	// 128). Class shares are occupancy ceilings: a batch request is only
-	// admitted while total queue occupancy is below BatchQueueFrac of
-	// capacity, an interval request below IntervalQueueFrac, and only
+	// admitted while total queue occupancy is below batchQueueFrac of
+	// capacity, an interval request below intervalQueueFrac, and only
 	// point requests may fill the queue completely — so as the queue
 	// grows, batch is shed first, then interval, then point.
-	QueueCapacity     int
-	BatchQueueFrac    float64 // default 0.5
-	IntervalQueueFrac float64 // default 0.75
-
-	// DegradeHighFrac / DegradeLowFrac are the queue-occupancy fractions
-	// at which degraded (cache-only) mode latches and clears (defaults
-	// 0.9 and 0.25). The hysteresis gap keeps the mode from flapping.
-	DegradeHighFrac float64
-	DegradeLowFrac  float64
-
-	// EWMAAlpha weights new observations in the latency estimate used
-	// for queue-wait prediction (default 0.2).
-	EWMAAlpha float64
+	QueueCapacity int
 }
+
+const (
+	// batchQueueFrac / intervalQueueFrac are the class occupancy
+	// ceilings described at Config.QueueCapacity.
+	batchQueueFrac    = 0.5
+	intervalQueueFrac = 0.75
+
+	// degradeHighFrac / degradeLowFrac are the queue-occupancy fractions
+	// at which degraded (cache-only) mode latches and clears. The
+	// hysteresis gap keeps the mode from flapping.
+	degradeHighFrac = 0.9
+	degradeLowFrac  = 0.25
+
+	// ewmaAlpha weights new observations in the latency estimate used
+	// for queue-wait prediction.
+	ewmaAlpha = 0.2
+)
 
 // withDefaults fills zero fields with the documented defaults.
 func (c Config) withDefaults() Config {
@@ -147,27 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 128
-	}
-	if c.BatchQueueFrac <= 0 || c.BatchQueueFrac > 1 {
-		c.BatchQueueFrac = 0.5
-	}
-	if c.IntervalQueueFrac <= 0 || c.IntervalQueueFrac > 1 {
-		c.IntervalQueueFrac = 0.75
-	}
-	if c.IntervalQueueFrac < c.BatchQueueFrac {
-		c.IntervalQueueFrac = c.BatchQueueFrac
-	}
-	if c.DegradeHighFrac <= 0 || c.DegradeHighFrac > 1 {
-		c.DegradeHighFrac = 0.9
-	}
-	if c.DegradeLowFrac <= 0 {
-		c.DegradeLowFrac = 0.25
-	}
-	if c.DegradeLowFrac >= c.DegradeHighFrac {
-		c.DegradeLowFrac = c.DegradeHighFrac / 2
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.2
 	}
 	return c
 }
@@ -234,18 +218,18 @@ func New(cfg Config) *Controller {
 		ewma:  float64(cfg.TargetLatency),
 	}
 	c.classCap[Point] = cfg.QueueCapacity
-	c.classCap[Interval] = int(float64(cfg.QueueCapacity) * cfg.IntervalQueueFrac)
-	c.classCap[Batch] = int(float64(cfg.QueueCapacity) * cfg.BatchQueueFrac)
+	c.classCap[Interval] = int(float64(cfg.QueueCapacity) * intervalQueueFrac)
+	c.classCap[Batch] = int(float64(cfg.QueueCapacity) * batchQueueFrac)
 	for cl := Class(0); cl < numClasses; cl++ {
 		if c.classCap[cl] < 1 {
 			c.classCap[cl] = 1
 		}
 	}
-	c.highWater = int(float64(cfg.QueueCapacity) * cfg.DegradeHighFrac)
+	c.highWater = int(float64(cfg.QueueCapacity) * degradeHighFrac)
 	if c.highWater < 1 {
 		c.highWater = 1
 	}
-	c.lowWater = int(float64(cfg.QueueCapacity) * cfg.DegradeLowFrac)
+	c.lowWater = int(float64(cfg.QueueCapacity) * degradeLowFrac)
 	return c
 }
 
@@ -349,7 +333,7 @@ func (c *Controller) Release(observed time.Duration) {
 	c.mu.Lock()
 	c.inflight--
 	c.counters.completed++
-	c.ewma += c.cfg.EWMAAlpha * (float64(observed) - c.ewma)
+	c.ewma += ewmaAlpha * (float64(observed) - c.ewma)
 	if c.cfg.AIMDWindow > 0 {
 		c.winCount++
 		c.winSum += float64(observed)

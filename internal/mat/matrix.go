@@ -146,15 +146,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Norm1 returns the sum of absolute values of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // NormInf returns the maximum absolute value of x (0 for empty x).
 func NormInf(x []float64) float64 {
 	var s float64

@@ -123,13 +123,10 @@ func TestNorms(t *testing.T) {
 	if Norm2(x) != 5 {
 		t.Fatalf("Norm2 = %v", Norm2(x))
 	}
-	if Norm1(x) != 7 {
-		t.Fatalf("Norm1 = %v", Norm1(x))
-	}
 	if NormInf(x) != 4 {
 		t.Fatalf("NormInf = %v", NormInf(x))
 	}
-	if Norm2(nil) != 0 || Norm1(nil) != 0 || NormInf(nil) != 0 {
+	if Norm2(nil) != 0 || NormInf(nil) != 0 {
 		t.Fatal("empty norms should be 0")
 	}
 }

@@ -4,25 +4,12 @@ import "time"
 
 // This file is the ONLY sanctioned wall-clock boundary in internal/obs
 // (pinned by wallClockAllowedFiles in internal/lint and its frozen-list
-// test). Everything here converts clock reads into opaque Stopwatch /
-// SpanClock values or plain Durations at the moment of measurement, so
+// test). Everything here converts clock reads into opaque SpanClock
+// values or plain Durations at the moment of measurement, so
 // clock-restricted core packages can time their stages without ever
 // holding a time.Time themselves — the same boundary discipline
 // internal/loadctl uses for admission timing. Do not add wall-clock
 // reads to any other file in this package.
-
-// Stopwatch measures an elapsed duration. Core packages may hold and
-// pass one around freely: the captured instant is private and only
-// ever collapses to a Duration.
-type Stopwatch struct {
-	t0 time.Time
-}
-
-// Start begins a stopwatch at the current instant.
-func Start() Stopwatch { return Stopwatch{t0: time.Now()} }
-
-// Elapsed returns the time since Start.
-func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.t0) }
 
 // SpanClock marks a span's start instant; obtain one from
 // ReqTrace.StartSpan and hand it back to EndSpan.

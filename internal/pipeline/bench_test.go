@@ -19,7 +19,7 @@ func BenchmarkPipelineRetrainPromote(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Kick(testApp)
+		p.Kick(testApp, "", "")
 		res, err := p.RunOnce(testApp, "")
 		if err != nil {
 			b.Fatal(err)

@@ -22,7 +22,7 @@ func TestDriftKicksRetraining(t *testing.T) {
 	var p *Pipeline
 	opts := serving.DefaultOptions()
 	opts.Drift = uncertainty.DriftConfig{Window: 16, MinObservations: 8, Coverage: 0.75, Floor: 0.6}
-	opts.OnDrift = func(model, reason, origin string) { p.KickOrigin(model, reason, origin) }
+	opts.OnDrift = func(model, reason, origin string) { p.Kick(model, reason, origin) }
 	srv := serving.New(reg, opts)
 	h := srv.Handler()
 

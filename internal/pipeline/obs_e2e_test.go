@@ -53,7 +53,7 @@ func TestDriftTraceableToRequestID(t *testing.T) {
 	opts.Obs = oreg
 	opts.Tracer = tracer
 	opts.Drift = uncertainty.DriftConfig{Window: 16, MinObservations: 8, Coverage: 0.75, Floor: 0.6}
-	opts.OnDrift = func(model, reason, origin string) { p.KickOrigin(model, reason, origin) }
+	opts.OnDrift = func(model, reason, origin string) { p.Kick(model, reason, origin) }
 	srv := serving.New(reg, opts)
 	h := srv.Handler()
 
@@ -119,8 +119,8 @@ func TestDriftTraceableToRequestID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Skipped {
-		t.Fatalf("drift-kicked cycle was skipped: %+v", res)
+	if !res.Promoted {
+		t.Fatalf("drift-kicked cycle did not promote: %+v", res)
 	}
 	if res.Origin != breachID {
 		t.Fatalf("cycle origin %q, want breaching request ID %q", res.Origin, breachID)
@@ -159,6 +159,12 @@ func TestDriftTraceableToRequestID(t *testing.T) {
 		}
 	}
 
+	// Rolling the drift-kicked generation back is counted with the
+	// cycles.
+	if _, err := p.Rollback(testApp, ""); err != nil {
+		t.Fatal(err)
+	}
+
 	// The cycle counters and stage histograms surface in the shared
 	// registry's Prometheus exposition, and the output stays valid.
 	var buf bytes.Buffer
@@ -170,8 +176,17 @@ func TestDriftTraceableToRequestID(t *testing.T) {
 		t.Fatalf("exposition invalid: %v", err)
 	}
 	seen := map[string]bool{}
+	events := map[string]float64{}
 	for _, f := range fams {
 		seen[f.Name] = true
+		if f.Name == "repro_pipeline_cycles_total" {
+			for _, s := range f.Samples {
+				events[s.Labels["event"]] = s.Value
+			}
+		}
+	}
+	if events["promoted"] != 2 || events["rollback"] != 1 {
+		t.Fatalf("repro_pipeline_cycles_total by event = %v, want 2 promoted and 1 rollback", events)
 	}
 	for _, want := range []string{"repro_pipeline_cycles_total", "repro_pipeline_stage_duration_seconds"} {
 		if !seen[want] {

@@ -33,7 +33,7 @@ func stageBounds() []time.Duration {
 // clock-free either way.
 type pipelineObs struct {
 	tracer *obs.Tracer
-	cycles map[string]*obs.Counter   // outcome ("promoted"/"rejected"/"skipped") -> counter
+	cycles map[string]*obs.Counter   // outcome ("promoted"/"rejected"/"rollback"/"skipped") -> counter
 	stages map[string]*obs.Histogram // stage name -> duration histogram
 }
 
@@ -41,7 +41,7 @@ type pipelineObs struct {
 // pipeline. Each subsequent training cycle records a "pipeline"-kind
 // trace named after the app with ID "run-<app>-gen<N>" and per-stage
 // spans (fit, calibrate, gate, promote), increments
-// pipeline_cycles_total by outcome, and feeds the span durations into
+// pipeline_cycles_total by outcome (rollbacks included), and feeds the span durations into
 // pipeline_stage_duration_seconds. Either argument may be nil to
 // enable only the other half. Call before the first cycle; not safe
 // concurrently with RunOnce.
@@ -49,9 +49,9 @@ func (p *Pipeline) EnableObs(reg *obs.Registry, tracer *obs.Tracer) {
 	po := &pipelineObs{tracer: tracer}
 	if reg != nil {
 		po.cycles = map[string]*obs.Counter{}
-		for _, ev := range []string{EventPromoted, EventRejected, "skipped"} {
+		for _, ev := range []string{EventPromoted, EventRejected, EventRollback, "skipped"} {
 			po.cycles[ev] = reg.Counter("pipeline_cycles_total",
-				"Training cycles run, by outcome.", obs.L("event", ev))
+				"Training cycles and rollbacks, by outcome.", obs.L("event", ev))
 		}
 		po.stages = map[string]*obs.Histogram{}
 		for _, st := range pipelineStages {
@@ -88,7 +88,7 @@ func (po *pipelineObs) stage(rt *obs.ReqTrace, name string, c obs.SpanClock) {
 	}
 }
 
-// count increments the cycle-outcome counter.
+// count increments the outcome counter.
 func (po *pipelineObs) count(event string) {
 	if po == nil || po.cycles == nil {
 		return

@@ -21,6 +21,11 @@
 //     a persisted audit journal keyed by a monotonic generation
 //     counter, hot-swap into a serving.Registry, and one-step rollback.
 //
+// Pipeline is the only driver type. Every decision it makes — a
+// promotion, a rejection at fit or at the gate, a rollback — is
+// recorded by one method, decide, in the journal, the serving
+// registry, the pipeline_cycles_total counter and the trigger state.
+//
 // Determinism is a hard invariant: the package never reads the wall
 // clock (timestamps are stamped at the cmd/ boundary and passed in) and
 // never draws randomness outside internal/rng — the training seed is
@@ -36,6 +41,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -61,16 +67,21 @@ type Config struct {
 }
 
 // Pipeline wires the four stages over one store and one generations
-// directory. Methods are safe for a single driver goroutine; the
-// underlying store and registry tolerate concurrent readers.
+// directory. Methods are safe for a single driver goroutine, except
+// Kick, which any goroutine may call; the underlying store and registry
+// tolerate concurrent readers.
 type Pipeline struct {
 	cfg     Config
+	dir     string
 	store   *Store
 	journal *Journal
-	prom    *Promoter
-	trigger *Trigger
 	reg     *serving.Registry // optional; nil disables hot-swap
 	obs     *pipelineObs      // optional; set by EnableObs
+
+	// Trigger state (trigger.go), guarded by trigMu.
+	trigMu sync.Mutex
+	kicked map[string]kickInfo // app -> pending kick
+	seen   map[string]int      // store record count at the last handled cycle
 }
 
 // CycleResult describes one RunOnce outcome.
@@ -88,7 +99,8 @@ type CycleResult struct {
 // New opens (or creates) a pipeline over a record store and a
 // generations directory holding model files and the audit journal.
 // reg may be nil; when set, promotions and rollbacks hot-swap the
-// registry entry named after the app. Trigger state is rebuilt from the
+// registry entry named after the app, and every decision is noted on
+// the registry for /metrics. Trigger state is rebuilt from the
 // journal so a restarted pipeline does not retrain on already-seen data.
 func New(store *Store, dir string, cfg Config, reg *serving.Registry) (*Pipeline, error) {
 	if cfg.MinNewRecords <= 0 {
@@ -102,18 +114,15 @@ func New(store *Store, dir string, cfg Config, reg *serving.Registry) (*Pipeline
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipeline{
+	return &Pipeline{
 		cfg:     cfg,
+		dir:     dir,
 		store:   store,
 		journal: j,
-		prom:    NewPromoter(dir, j, reg),
-		trigger: NewTrigger(cfg.MinNewRecords),
 		reg:     reg,
-	}
-	for app, n := range j.lastRecords() {
-		p.trigger.Prime(app, n)
-	}
-	return p, nil
+		kicked:  map[string]kickInfo{},
+		seen:    j.lastRecords(),
+	}, nil
 }
 
 // Store returns the pipeline's run-record store.
@@ -121,39 +130,6 @@ func (p *Pipeline) Store() *Store { return p.store }
 
 // Journal returns the pipeline's audit journal.
 func (p *Pipeline) Journal() *Journal { return p.journal }
-
-// Promoter returns the promotion stage (model files, rollback).
-func (p *Pipeline) Promoter() *Promoter { return p.prom }
-
-// Kick forces the next RunOnce for app to retrain regardless of how
-// many records arrived.
-func (p *Pipeline) Kick(app string) { p.trigger.Kick(app) }
-
-// KickReason forces the next RunOnce for app to retrain and records why,
-// so the cycle's journal entry names the signal (e.g. a drift monitor's
-// coverage-breach diagnosis).
-func (p *Pipeline) KickReason(app, reason string) { p.trigger.KickReason(app, reason) }
-
-// KickOrigin is KickReason plus the originating identity — typically
-// the X-Request-Id of the /v1/observe call whose observation breached
-// the drift floor — which the cycle's journal entry persists as Origin,
-// closing the trace from ingest to promotion.
-func (p *Pipeline) KickOrigin(app, reason, origin string) { p.trigger.KickOrigin(app, reason, origin) }
-
-// Rollback reverts app to the generation promoted before the currently
-// active one and journals the event. now is an optional timestamp
-// stamped by the caller (the CLI boundary); empty keeps the journal
-// deterministic.
-func (p *Pipeline) Rollback(app, now string) (int, error) {
-	return p.prom.Rollback(app, now)
-}
-
-// InstallActive loads every app's active generation from disk into the
-// registry, so a restarted serve process resumes from the journal's
-// state. Apps without a promoted generation are skipped.
-func (p *Pipeline) InstallActive() error {
-	return p.prom.InstallActive()
-}
 
 // RunAll runs one cycle for every app in the store, in sorted order.
 // Per-app errors abort the sweep (the store and journal are shared
@@ -178,13 +154,11 @@ func (p *Pipeline) RunAll(now string) ([]*CycleResult, error) {
 // pipeline itself never reads the clock.
 func (p *Pipeline) RunOnce(app, now string) (*CycleResult, error) {
 	count := p.store.Count(app)
-	due, why := p.trigger.Due(app, count)
+	due, why, origin := p.due(app, count)
 	if !due {
 		p.obs.count("skipped")
 		return &CycleResult{App: app, Skipped: true, Reason: why}, nil
 	}
-	// Origin rides with the pending kick; read it before Mark consumes it.
-	origin := p.trigger.Origin(app)
 
 	gen := p.journal.NextGen()
 	res := &CycleResult{App: app, Gen: gen, Reason: why, Origin: origin}
@@ -206,14 +180,12 @@ func (p *Pipeline) RunOnce(app, now string) (*CycleResult, error) {
 		// not have accumulated enough data yet, and the serve loop must
 		// keep running.
 		res.Gate = GateResult{Reason: fmt.Sprintf("fit: %v", err)}
-		if jerr := p.journal.Append(Entry{
+		if err := p.decide(Entry{
 			Gen: gen, App: app, Event: EventRejected,
 			Reason: res.Gate.Reason, Records: count, Trigger: why, Origin: origin, Time: now,
-		}); jerr != nil {
-			return nil, jerr
+		}, nil); err != nil {
+			return nil, err
 		}
-		p.obs.count(EventRejected)
-		p.trigger.Mark(app, count)
 		return res, nil
 	}
 
@@ -226,7 +198,7 @@ func (p *Pipeline) RunOnce(app, now string) (*CycleResult, error) {
 	cand.Meta.Calibration = calibrate(cand, holdout)
 	p.obs.stage(rt, "calibrate", calClock)
 
-	inc, incGen, err := p.prom.ActiveModel(app)
+	inc, incGen, err := p.activeModel(app)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: loading incumbent for %q: %w", app, err)
 	}
@@ -248,16 +220,14 @@ func (p *Pipeline) RunOnce(app, now string) (*CycleResult, error) {
 	if !res.Gate.Promote {
 		entry.Event = EventRejected
 		entry.Reason = res.Gate.Reason
-		if err := p.journal.Append(entry); err != nil {
+		if err := p.decide(entry, nil); err != nil {
 			return nil, err
 		}
-		p.obs.count(EventRejected)
-		p.trigger.Mark(app, count)
 		return res, nil
 	}
 
 	promClock := rt.StartSpan()
-	path, sha, err := p.prom.Promote(cand, app, gen)
+	path, sha, err := p.writeGeneration(cand, app, gen)
 	p.obs.stage(rt, "promote", promClock)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: promoting %q gen %d: %w", app, gen, err)
@@ -266,15 +236,40 @@ func (p *Pipeline) RunOnce(app, now string) (*CycleResult, error) {
 	entry.Reason = res.Gate.Reason
 	entry.ModelPath = filepath.Base(path)
 	entry.ModelSHA = sha
-	if err := p.journal.Append(entry); err != nil {
+	if err := p.decide(entry, cand); err != nil {
 		return nil, err
 	}
-	p.prom.install(app, gen, cand, "gate passed: "+res.Gate.Reason)
-	p.obs.count(EventPromoted)
-	p.trigger.Mark(app, count)
 	res.Promoted = true
 	res.Path = path
 	return res, nil
+}
+
+// decide records one decision — a promotion, a rejection at fit or at
+// the gate, or a rollback — everywhere it is reported, in crash order:
+// the journal entry first (a promoted model file is already on disk, so
+// a crash after the append is recovered by InstallActive); then, when a
+// registry is attached, the hot-swap of m (nil for rejections) and the
+// outcome for /metrics, whose outcome names are the journal's event
+// names; then pipeline_cycles_total; last the trigger baseline. A
+// rollback trains nothing, so it leaves the trigger, and any pending
+// kick, alone.
+func (p *Pipeline) decide(e Entry, m *core.TwoLevelModel) error {
+	if err := p.journal.Append(e); err != nil {
+		return err
+	}
+	if p.reg != nil {
+		if m != nil {
+			p.reg.Install(e.App, m)
+		}
+		p.reg.NotePromotion(serving.PromotionStatus{
+			App: e.App, Generation: e.Gen, Outcome: e.Event, Detail: e.Reason,
+		})
+	}
+	p.obs.count(e.Event)
+	if e.Event != EventRollback {
+		p.mark(e.App, e.Records)
+	}
+	return nil
 }
 
 // fitCandidate trains one candidate model with the cycle's derived seed

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -177,7 +178,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("reopened pipeline did not restore trigger state: %+v, %v", res, err)
 	}
 	// ...until kicked.
-	strict.Kick(testApp)
+	strict.Kick(testApp, "", "")
 	res, err = strict.RunOnce(testApp, "")
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +195,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if v3 != v2 || gen3 != 2 || !reflect.DeepEqual(run2, run3) {
 		t.Fatal("rejected candidate disturbed the serving incumbent")
 	}
-	if _, err := os.Stat(strict.Promoter().ModelPath(testApp, 3)); !os.IsNotExist(err) {
+	if _, err := os.Stat(strict.ModelPath(testApp, 3)); !os.IsNotExist(err) {
 		t.Fatal("rejected candidate left a generation file behind")
+	}
+	if lp := metricsSnapshot(t, h).Pipeline.LastPromotion; lp == nil || lp.Outcome != serving.PromotionRejected || lp.Generation != 3 {
+		t.Fatalf("last promotion after the strict cycle = %+v, want rejected generation 3", lp)
 	}
 
 	// ---- rollback: one step back to generation 1, still live ----
@@ -218,15 +222,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 
 	// ---- metrics: the whole story is visible on /metrics ----
-	var snap serving.Snapshot
-	if code := doJSON(t, h, "GET", "/metrics", nil, &snap); code != http.StatusOK {
-		t.Fatalf("metrics returned %d", code)
-	}
-	if snap.Pipeline == nil {
-		t.Fatal("metrics has no pipeline section after promotions")
-	}
-	if snap.Pipeline.Promotions != 2 || snap.Pipeline.Rollbacks != 1 {
-		t.Fatalf("pipeline counters = %+v, want 2 promotions, 1 rollback", snap.Pipeline)
+	snap := metricsSnapshot(t, h)
+	if snap.Pipeline.Promotions != 2 || snap.Pipeline.Rejections != 1 || snap.Pipeline.Rollbacks != 1 {
+		t.Fatalf("pipeline counters = %+v, want 2 promotions, 1 rejection, 1 rollback", snap.Pipeline)
 	}
 	if lp := snap.Pipeline.LastPromotion; lp == nil || lp.Outcome != serving.PromotionRollback || lp.Generation != 1 {
 		t.Fatalf("last promotion = %+v, want rollback to generation 1", snap.Pipeline.LastPromotion)
@@ -253,6 +251,61 @@ func TestPipelineEndToEnd(t *testing.T) {
 	e, ok := reg2.Get(testApp)
 	if !ok || e.Generation != 1 {
 		t.Fatalf("restart installed %+v, want active generation 1", e)
+	}
+}
+
+// metricsSnapshot reads the /metrics JSON document and fails unless it
+// carries the pipeline section.
+func metricsSnapshot(t *testing.T, h http.Handler) serving.Snapshot {
+	t.Helper()
+	var snap serving.Snapshot
+	if code := doJSON(t, h, "GET", "/metrics", nil, &snap); code != http.StatusOK {
+		t.Fatalf("metrics returned %d", code)
+	}
+	if snap.Pipeline == nil {
+		t.Fatal("metrics has no pipeline section")
+	}
+	return snap
+}
+
+// TestFitFailureRejectionReachesMetrics: a store too small to fit
+// yields a journaled rejection, and that rejection alone is enough for
+// /metrics to show the pipeline section.
+func TestFitFailureRejectionReachesMetrics(t *testing.T) {
+	hist, _ := testHistories(t)
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range hist.Runs[:3] {
+		if _, err := store.Append(hist.ParamNames, Record{
+			App: testApp, Params: run.Params, Scale: run.Scale, Runtime: run.Runtime,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := serving.NewRegistry()
+	h := serving.New(reg, serving.DefaultOptions()).Handler()
+	p, err := New(store, t.TempDir(), testPipelineConfig(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.RunOnce(testApp, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Promoted || !strings.HasPrefix(res.Gate.Reason, "fit: ") {
+		t.Fatalf("cycle over 3 records: %+v, want a fit rejection", res)
+	}
+	if entries := p.Journal().Entries(); len(entries) != 1 || entries[0].Event != EventRejected {
+		t.Fatalf("journal = %+v, want one rejection", entries)
+	}
+	snap := metricsSnapshot(t, h)
+	if snap.Pipeline.Rejections != 1 || snap.Pipeline.Promotions != 0 {
+		t.Fatalf("pipeline counters = %+v, want 1 rejection", snap.Pipeline)
+	}
+	if lp := snap.Pipeline.LastPromotion; lp == nil || lp.Outcome != serving.PromotionRejected || lp.Detail != res.Gate.Reason {
+		t.Fatalf("last promotion = %+v, want the fit rejection", lp)
 	}
 }
 

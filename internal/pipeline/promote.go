@@ -8,38 +8,26 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/serving"
 )
 
-// Promoter is the promotion stage: it owns the generations directory of
-// model files (one per promoted generation, named app-gen000042.json),
-// installs winners into the serving registry, and performs one-step
-// rollback. Model files are written with core.Save's temp+rename
-// protocol, so a serving process reloading from disk can never observe
-// a torn file; files of superseded generations are kept — they are the
-// rollback targets and the audit trail's artifacts.
-type Promoter struct {
-	dir     string
-	journal *Journal
-	reg     *serving.Registry // optional
-}
-
-// NewPromoter builds a promoter writing into dir. reg may be nil.
-func NewPromoter(dir string, j *Journal, reg *serving.Registry) *Promoter {
-	return &Promoter{dir: dir, journal: j, reg: reg}
-}
+// The promotion stage: the generations directory holds one model file
+// per promoted generation (named app-gen000042.json), written with
+// core.Save's temp+rename protocol, so a serving process reloading from
+// disk can never observe a torn file. Files of superseded generations
+// are kept — they are the rollback targets and the audit trail's
+// artifacts.
 
 // ModelPath returns the on-disk path of one generation's model file.
-func (p *Promoter) ModelPath(app string, gen int) string {
+func (p *Pipeline) ModelPath(app string, gen int) string {
 	return filepath.Join(p.dir, fmt.Sprintf("%s-gen%06d.json", app, gen))
 }
 
-// Promote atomically writes the candidate as a generation-numbered
-// model file and returns its path and content hash. The journal entry
-// and registry install are the caller's next steps (the pipeline
-// journals before installing, so a crash between the two is recovered
-// by InstallActive).
-func (p *Promoter) Promote(m *core.TwoLevelModel, app string, gen int) (path, sha string, err error) {
+// writeGeneration atomically writes the candidate as a
+// generation-numbered model file and returns its path and content hash.
+// It is the first step of a promotion: the journal entry and registry
+// install follow in decide, so a crash between them is recovered by
+// InstallActive.
+func (p *Pipeline) writeGeneration(m *core.TwoLevelModel, app string, gen int) (path, sha string, err error) {
 	path = p.ModelPath(app, gen)
 	if err := m.Save(path); err != nil {
 		return "", "", err
@@ -51,21 +39,9 @@ func (p *Promoter) Promote(m *core.TwoLevelModel, app string, gen int) (path, sh
 	return path, fmt.Sprintf("%x", sha256.Sum256(raw)), nil
 }
 
-// install hot-swaps the model into the registry (when attached) under
-// the app's name and notes the promotion for /metrics.
-func (p *Promoter) install(app string, gen int, m *core.TwoLevelModel, detail string) {
-	if p.reg == nil {
-		return
-	}
-	p.reg.Install(app, m)
-	p.reg.NotePromotion(serving.PromotionStatus{
-		App: app, Generation: gen, Outcome: serving.PromotionPromoted, Detail: detail,
-	})
-}
-
-// ActiveModel loads app's currently active generation from disk.
+// activeModel loads app's currently active generation from disk.
 // A nil model with a nil error means no generation has been promoted.
-func (p *Promoter) ActiveModel(app string) (*core.TwoLevelModel, int, error) {
+func (p *Pipeline) activeModel(app string) (*core.TwoLevelModel, int, error) {
 	gen, ok := p.journal.Active(app)
 	if !ok {
 		return nil, 0, nil
@@ -77,10 +53,12 @@ func (p *Promoter) ActiveModel(app string) (*core.TwoLevelModel, int, error) {
 	return m, gen, nil
 }
 
-// InstallActive installs every app's active generation into the
-// registry — the restart path: the journal says what should be
-// serving, the generations directory has the bytes.
-func (p *Promoter) InstallActive() error {
+// InstallActive loads every app's active generation from disk into the
+// registry, so a restarted serve process resumes from the journal's
+// state: the journal says what should be serving, the generations
+// directory has the bytes. Apps without a promoted generation are
+// skipped.
+func (p *Pipeline) InstallActive() error {
 	if p.reg == nil {
 		return nil
 	}
@@ -89,7 +67,7 @@ func (p *Promoter) InstallActive() error {
 		apps[e.App] = true
 	}
 	for _, app := range sortedKeys(apps) {
-		m, _, err := p.ActiveModel(app)
+		m, _, err := p.activeModel(app)
 		if err != nil {
 			return fmt.Errorf("pipeline: app %q: %w", app, err)
 		}
@@ -104,8 +82,10 @@ func (p *Promoter) InstallActive() error {
 // Rollback reverts app to the generation promoted before the currently
 // active one: the model file is re-read, journaled as the new active
 // generation, and hot-swapped into the registry. Rolling back twice
-// walks back one more promotion each time until none remain.
-func (p *Promoter) Rollback(app, now string) (int, error) {
+// walks back one more promotion each time until none remain. now is an
+// optional timestamp stamped by the caller (the CLI boundary); empty
+// keeps the journal deterministic.
+func (p *Pipeline) Rollback(app, now string) (int, error) {
 	cur, ok := p.journal.Active(app)
 	if !ok {
 		return 0, fmt.Errorf("pipeline: app %q has no promoted generation to roll back", app)
@@ -118,18 +98,11 @@ func (p *Promoter) Rollback(app, now string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("pipeline: loading rollback target gen %d: %w", prev, err)
 	}
-	if err := p.journal.Append(Entry{
+	if err := p.decide(Entry{
 		Gen: prev, App: app, Event: EventRollback,
 		Reason: fmt.Sprintf("rolled back from generation %d", cur), Time: now,
-	}); err != nil {
+	}, m); err != nil {
 		return 0, err
-	}
-	if p.reg != nil {
-		p.reg.Install(app, m)
-		p.reg.NotePromotion(serving.PromotionStatus{
-			App: app, Generation: prev, Outcome: serving.PromotionRollback,
-			Detail: fmt.Sprintf("rolled back from generation %d", cur),
-		})
 	}
 	return prev, nil
 }

@@ -1,23 +1,14 @@
 package pipeline
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Trigger is the retrain policy: an application is due for a training
-// cycle when at least minNew records arrived since its last handled
-// cycle, or when it was explicitly kicked. The trigger only bookkeeps —
-// the pipeline asks Due, runs the cycle, and acknowledges with Mark —
-// so a rejected candidate still consumes its trigger (no retrain storm
-// over unchanged data; Kick forces a rerun).
-type Trigger struct {
-	minNew int
-
-	mu     sync.Mutex
-	kicked map[string]kickInfo // app -> pending kick
-	seen   map[string]int      // store record count at the last handled cycle
-}
+// The retrain policy: an application is due for a training cycle when
+// at least MinNewRecords records arrived since its last handled cycle,
+// or when it was explicitly kicked. RunOnce asks due, runs the cycle,
+// and decide marks it handled, so a rejected candidate still consumes
+// its trigger (no retrain storm over unchanged data; Kick forces a
+// rerun). The state lives on Pipeline under trigMu, because Kick
+// arrives from the serving drift hook while the driver runs cycles.
 
 // kickInfo is one pending forced retrain: why it was requested and the
 // opaque origin identifier (e.g. the HTTP request ID of the observation
@@ -27,79 +18,49 @@ type kickInfo struct {
 	origin string
 }
 
-// NewTrigger builds a trigger firing after minNew new records (>= 1).
-func NewTrigger(minNew int) *Trigger {
-	if minNew < 1 {
-		minNew = 1
-	}
-	return &Trigger{minNew: minNew, kicked: map[string]kickInfo{}, seen: map[string]int{}}
-}
-
-// Prime seeds the last-handled record count for app, used to rebuild
-// state from the journal when a pipeline reopens.
-func (t *Trigger) Prime(app string, count int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if count > t.seen[app] {
-		t.seen[app] = count
-	}
-}
-
-// Kick forces the next Due check for app to fire.
-func (t *Trigger) Kick(app string) { t.KickOrigin(app, "", "") }
-
-// KickReason forces the next Due check for app to fire and records why
-// (e.g. a drift monitor's breach diagnosis) so the journal can name the
-// signal.
-func (t *Trigger) KickReason(app, reason string) { t.KickOrigin(app, reason, "") }
-
-// KickOrigin is KickReason carrying the originating identity — the
-// request ID of the observation whose arrival breached the drift floor
-// — so the cycle's journal entry links the retrain back to the exact
-// ingest that provoked it. An existing pending reason is kept: the
-// first cause wins until the cycle consumes it.
-func (t *Trigger) KickOrigin(app, reason, origin string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cur, ok := t.kicked[app]; !ok || cur.reason == "" {
-		t.kicked[app] = kickInfo{reason: reason, origin: origin}
+// Kick forces the next RunOnce for app to retrain regardless of how
+// many records arrived. reason, when set, names the signal in the
+// cycle's journal entry (e.g. a drift monitor's coverage-breach
+// diagnosis); origin is the identity the signal arrived with —
+// typically the X-Request-Id of the /v1/observe call whose observation
+// breached the drift floor — and the journal persists it as Origin,
+// closing the trace from ingest to promotion. Both may be empty. A
+// pending kick with a reason is kept: the first cause wins until a
+// cycle consumes it.
+func (p *Pipeline) Kick(app, reason, origin string) {
+	p.trigMu.Lock()
+	defer p.trigMu.Unlock()
+	if cur, ok := p.kicked[app]; !ok || cur.reason == "" {
+		p.kicked[app] = kickInfo{reason: reason, origin: origin}
 	}
 }
 
-// Origin returns the pending kick's origin identifier ("" when no kick
-// is pending or the kick carried none). Read it alongside Due; Mark
-// consumes it with the kick.
-func (t *Trigger) Origin(app string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.kicked[app].origin
-}
-
-// Due reports whether app should retrain given its current record
-// count, with a human-readable reason either way.
-func (t *Trigger) Due(app string, count int) (bool, string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if k, ok := t.kicked[app]; ok {
+// due reports whether app should retrain given its current record
+// count, with a human-readable reason either way, and the pending
+// kick's origin ("" for count-policy cycles).
+func (p *Pipeline) due(app string, count int) (ok bool, why, origin string) {
+	p.trigMu.Lock()
+	defer p.trigMu.Unlock()
+	if k, ok := p.kicked[app]; ok {
 		if k.reason == "" {
-			return true, "kicked"
+			return true, "kicked", k.origin
 		}
-		return true, "kicked: " + k.reason
+		return true, "kicked: " + k.reason, k.origin
 	}
-	fresh := count - t.seen[app]
-	if fresh >= t.minNew {
-		return true, fmt.Sprintf("%d new records (threshold %d)", fresh, t.minNew)
+	fresh := count - p.seen[app]
+	if fresh >= p.cfg.MinNewRecords {
+		return true, fmt.Sprintf("%d new records (threshold %d)", fresh, p.cfg.MinNewRecords), ""
 	}
-	return false, fmt.Sprintf("%d of %d new records", fresh, t.minNew)
+	return false, fmt.Sprintf("%d of %d new records", fresh, p.cfg.MinNewRecords), ""
 }
 
-// Mark acknowledges a handled cycle: the kick (if any) is consumed and
-// the record count becomes the new baseline.
-func (t *Trigger) Mark(app string, count int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.kicked, app)
-	if count > t.seen[app] {
-		t.seen[app] = count
+// mark acknowledges a handled cycle: the kick (if any) is consumed and
+// the record count becomes the new baseline, which never moves back.
+func (p *Pipeline) mark(app string, count int) {
+	p.trigMu.Lock()
+	defer p.trigMu.Unlock()
+	delete(p.kicked, app)
+	if count > p.seen[app] {
+		p.seen[app] = count
 	}
 }

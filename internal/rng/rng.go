@@ -75,9 +75,6 @@ func (s *Source) Uint64() uint64 {
 	return hi<<32 | lo
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (s *Source) Uint32() uint32 { return s.next32() }
-
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
@@ -112,9 +109,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	lo = a * b
 	return hi, lo
 }
-
-// Int63 returns a non-negative 63-bit value, mirroring math/rand's contract.
-func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {

@@ -283,15 +283,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	s := New(59)
-	for i := 0; i < 10000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
-}
-
 func TestMul64MatchesBigMul(t *testing.T) {
 	// property: mul64 agrees with the identity on low bits and with
 	// independent high-bit computation via per-32-bit decomposition.

@@ -157,14 +157,6 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// Purge drops every cached entry (in-flight computations are unaffected).
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.items)
-}
-
 // CacheStats is a point-in-time view of the cache counters.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`

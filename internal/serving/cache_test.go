@@ -179,20 +179,6 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCachePurge(t *testing.T) {
-	c := NewCache(8)
-	for i := 0; i < 5; i++ {
-		c.DoBytes(context.Background(), []byte(fmt.Sprint(i)), constant(i))
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len() = %d after Purge", c.Len())
-	}
-	if _, hit, _ := c.DoBytes(context.Background(), []byte("1"), constant("fresh")); hit {
-		t.Fatal("hit after Purge")
-	}
-}
-
 func TestCacheConcurrentMixed(t *testing.T) {
 	c := NewCache(32)
 	var wg sync.WaitGroup

@@ -113,7 +113,9 @@ func (m *Metrics) record(endpoint string, status int, d time.Duration) {
 // registerCollaborators bridges collaborator-owned counters (cache,
 // registry, admission controller) into the Prometheus exposition as
 // sampled-at-scrape functions; the collaborators keep their own
-// atomics and the JSON document keeps reading them directly.
+// atomics and the JSON document keeps reading them directly. Pipeline
+// outcomes are not bridged: internal/pipeline counts each one in
+// pipeline_cycles_total.
 func (m *Metrics) registerCollaborators(cache *Cache, reg *Registry, load *loadctl.Controller) {
 	r := m.reg
 	if cache != nil {
@@ -126,18 +128,6 @@ func (m *Metrics) registerCollaborators(cache *Cache, reg *Registry, load *loadc
 	if reg != nil {
 		r.GaugeFunc("models", "models installed in the registry", func() float64 { return float64(reg.Len()) })
 		r.CounterFunc("model_reloads_total", "registry reloads", func() float64 { return float64(reg.Reloads()) })
-		r.CounterFunc("pipeline_promotions_total", "model generations promoted into serving", func() float64 {
-			p, _, _ := reg.PromotionCounts()
-			return float64(p)
-		})
-		r.CounterFunc("pipeline_rejections_total", "candidate generations rejected by the gate", func() float64 {
-			_, rej, _ := reg.PromotionCounts()
-			return float64(rej)
-		})
-		r.CounterFunc("pipeline_rollbacks_total", "generation rollbacks", func() float64 {
-			_, _, rb := reg.PromotionCounts()
-			return float64(rb)
-		})
 	}
 	if load != nil {
 		r.GaugeFunc("load_limit", "admission concurrency limit", func() float64 { return load.Snapshot().Limit })

@@ -98,34 +98,6 @@ func Quantile(x []float64, q float64) float64 {
 // Median returns the median of x.
 func Median(x []float64) float64 { return Quantile(x, 0.5) }
 
-// Summary holds the five-number summary plus mean and stddev of a sample.
-type Summary struct {
-	N                int
-	Mean, StdDev     float64
-	Min, Q1, Med, Q3 float64
-	Max              float64
-}
-
-// Summarize computes a Summary of x; it panics on empty input.
-func Summarize(x []float64) Summary {
-	return Summary{
-		N:      len(x),
-		Mean:   Mean(x),
-		StdDev: StdDev(x),
-		Min:    Min(x),
-		Q1:     Quantile(x, 0.25),
-		Med:    Median(x),
-		Q3:     Quantile(x, 0.75),
-		Max:    Max(x),
-	}
-}
-
-// String renders a compact one-line summary.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g q1=%.4g med=%.4g q3=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Q1, s.Med, s.Q3, s.Max)
-}
-
 // ---- prediction-error metrics ----
 
 func checkPaired(yTrue, yPred []float64) {
@@ -155,25 +127,6 @@ func APE(yTrue, yPred []float64) []float64 {
 // MAPE returns the mean absolute percentage error as a fraction
 // (multiply by 100 for percent). This is the paper's headline metric.
 func MAPE(yTrue, yPred []float64) float64 { return Mean(APE(yTrue, yPred)) }
-
-// MedAPE returns the median absolute percentage error as a fraction.
-func MedAPE(yTrue, yPred []float64) float64 {
-	a := APE(yTrue, yPred)
-	if len(a) == 0 {
-		return 0
-	}
-	return Median(a)
-}
-
-// MAE returns the mean absolute error.
-func MAE(yTrue, yPred []float64) float64 {
-	checkPaired(yTrue, yPred)
-	var s float64
-	for i := range yTrue {
-		s += math.Abs(yTrue[i] - yPred[i])
-	}
-	return s / float64(len(yTrue))
-}
 
 // RMSE returns the root mean squared error.
 func RMSE(yTrue, yPred []float64) float64 {
