@@ -83,10 +83,7 @@ func cmdIngest(args []string) {
 	if *storeDir == "" || fs.NArg() == 0 {
 		fatalf("ingest needs -store and at least one CSV argument")
 	}
-	store, err := pipeline.OpenStore(*storeDir)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	store := openStore(*storeDir)
 	for _, path := range fs.Args() {
 		added, skipped, err := store.ImportCSV(path)
 		if err != nil {
@@ -137,14 +134,8 @@ func cmdRun(args []string) {
 		cfg.Core.Forest.Trees = *trees
 	}
 
-	store, err := pipeline.OpenStore(*storeDir)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	p, err := pipeline.New(store, *gensDir, cfg, nil)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	store := openStore(*storeDir)
+	p := openPipeline(store, *gensDir, cfg)
 
 	apps := store.Apps()
 	if *app != "" {
@@ -185,14 +176,8 @@ func cmdStatus(args []string) {
 	if *storeDir == "" || *gensDir == "" {
 		fatalf("status needs -store and -dir")
 	}
-	store, err := pipeline.OpenStore(*storeDir)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	p, err := pipeline.New(store, *gensDir, pipeline.Config{Core: core.DefaultConfig()}, nil)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	store := openStore(*storeDir)
+	p := openPipeline(store, *gensDir, pipeline.Config{Core: core.DefaultConfig()})
 
 	for _, a := range store.Apps() {
 		names, _ := store.ParamNames(a)
@@ -242,19 +227,39 @@ func cmdRollback(args []string) {
 	if *storeDir == "" || *gensDir == "" || *app == "" {
 		fatalf("rollback needs -store, -dir, and -app")
 	}
-	store, err := pipeline.OpenStore(*storeDir)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	p, err := pipeline.New(store, *gensDir, pipeline.Config{Core: core.DefaultConfig()}, nil)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	store := openStore(*storeDir)
+	p := openPipeline(store, *gensDir, pipeline.Config{Core: core.DefaultConfig()})
 	gen, err := p.Rollback(*app, stamp())
 	if err != nil {
 		fatalf("%v", err)
 	}
 	fmt.Printf("%s: rolled back to generation %d\n", *app, gen)
+}
+
+// openStore opens the run-record store, logging any torn last line (an
+// append a crash cut short) it had to cut off a partition.
+func openStore(dir string) *pipeline.Store {
+	store, err := pipeline.OpenStore(dir)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	for _, t := range store.TornTails() {
+		logger.Warn("store: cut off a torn last line", "detail", t.String())
+	}
+	return store
+}
+
+// openPipeline opens the pipeline over store and the generations
+// directory, logging a torn last line cut off the journal.
+func openPipeline(store *pipeline.Store, dir string, cfg pipeline.Config) *pipeline.Pipeline {
+	p, err := pipeline.New(store, dir, cfg, nil)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if t := p.Journal().Torn(); t != nil {
+		logger.Warn("journal: cut off a torn last line", "detail", t.String())
+	}
+	return p
 }
 
 func parse(fs *flag.FlagSet, args []string) {

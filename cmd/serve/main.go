@@ -292,11 +292,23 @@ func setupPipeline(logger *slog.Logger, reg *serving.Registry, storeDir, gensDir
 	if err != nil {
 		return nil, err
 	}
+	logTornTails(logger, p)
+	if t := p.Journal().Torn(); t != nil {
+		logger.Warn("pipeline journal: cut off a torn last line", "detail", t.String())
+	}
 	if err := p.InstallActive(); err != nil {
 		return nil, fmt.Errorf("installing active generations: %w", err)
 	}
 	logger.Info("pipeline attached", "store", storeDir, "generations", gensDir, "apps", len(store.Apps()))
 	return p, nil
+}
+
+// logTornTails logs each torn last line (an append a crash cut short)
+// the store has cut off a partition file since the last call.
+func logTornTails(logger *slog.Logger, p *pipeline.Pipeline) {
+	for _, t := range p.Store().TornTails() {
+		logger.Warn("pipeline store: cut off a torn last line", "detail", t.String())
+	}
 }
 
 // runPipelineLoop periodically sweeps the store for due retrains until
@@ -317,6 +329,7 @@ func runPipelineLoop(logger *slog.Logger, p *pipeline.Pipeline, every time.Durat
 			logger.Error("pipeline store refresh failed", "err", err.Error())
 			continue
 		}
+		logTornTails(logger, p)
 		//lint:allow clockflow -- the retrain loop stamps journal entries with the decision time; the audit trail is operational metadata, not experiment output
 		now := time.Now().UTC().Format(time.RFC3339)
 		results, err := p.RunAll(now)

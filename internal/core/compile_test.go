@@ -2,11 +2,11 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/treec"
 	"repro/internal/uncertainty"
 )
 
@@ -220,9 +220,10 @@ func TestCompiledModelPredictionsIdentical(t *testing.T) {
 	}
 }
 
-// TestCompileSurvivesRoundtrip: Read compiles, so a loaded model matches
-// the pointer oracle too, and the compiled form is derived state that
-// never serializes — Write→Read→Write is byte-identical.
+// TestCompileSurvivesRoundtrip: Read builds the compiled forests and
+// their pointer trees from the file's tables, so a loaded model matches
+// both its own pointer trees and the fitted model's, and
+// Write→Read→Write is byte-identical.
 func TestCompileSurvivesRoundtrip(t *testing.T) {
 	for _, mode := range []Mode{ModeAnchored, ModeBasis} {
 		t.Run(string(mode), func(t *testing.T) {
@@ -236,6 +237,11 @@ func TestCompileSurvivesRoundtrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAgainstPointer(t, loaded, probes)
+			// The loaded tables against the fitted model's own trees, in
+			// their training order and with their training statistics.
+			fitted := *loaded
+			fitted.Interp = m.Interp
+			checkAgainstPointer(t, &fitted, probes)
 			if err := loaded.Write(&second); err != nil {
 				t.Fatal(err)
 			}
@@ -251,20 +257,12 @@ func TestCompileSurvivesRoundtrip(t *testing.T) {
 // buffer across forests and must grow it rather than panic.
 func TestUnevenForestsPredict(t *testing.T) {
 	m, probes := fitCompiled(t, ModeAnchored)
-	var raw bytes.Buffer
-	if err := m.Write(&raw); err != nil {
-		t.Fatal(err)
+	e := &m.compiled[0].E
+	*e = treec.Ensemble{
+		Roots: e.Roots[:3], Feature: e.Feature[:e.Roots[3]], Child: e.Child[:e.Roots[3]],
+		Thresh: e.Thresh[:e.Roots[3]], Features: e.Features,
 	}
-	var f modelFile
-	if err := json.Unmarshal(raw.Bytes(), &f); err != nil {
-		t.Fatal(err)
-	}
-	f.Model.Interp[0].Trees = f.Model.Interp[0].Trees[:3]
-	uneven, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Read(bytes.NewReader(uneven))
+	loaded, err := Read(bytes.NewReader(rewrite(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,11 @@ type TwoLevelModel struct {
 	Meta ModelMeta `json:"meta"`
 
 	// Interp holds one interpolation forest per small scale, aligned with
-	// Cfg.SmallScales.
-	Interp []*forest.Forest
+	// Cfg.SmallScales. Prediction runs the compiled form; a loaded model
+	// rebuilds these pointer trees from the file's compiled tables
+	// (breadth-first, and without the per-node training statistics), so
+	// they never serialize themselves.
+	Interp []*forest.Forest `json:"-"`
 
 	// Centroids are the k-means centroids over normalized predicted
 	// small-scale curve shapes (k × len(SmallScales)); nil when the model
@@ -43,7 +46,7 @@ type TwoLevelModel struct {
 
 	// compiled is the flattened treec form of Interp, aligned with it.
 	// Fit and Read build it before returning the model, so every
-	// prediction runs the compiled kernels; it never serializes.
+	// prediction runs the compiled kernels; Write stores these tables.
 	compiled []*treec.Forest
 }
 

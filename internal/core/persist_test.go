@@ -2,17 +2,19 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/rng"
 	"repro/internal/scalefit"
-	"repro/internal/tree"
+	"repro/internal/treec"
 )
 
 // fitTiny returns a quick model, plus one in-space configuration, for
@@ -128,76 +130,149 @@ func TestSaveIntoMissingDirFails(t *testing.T) {
 	}
 }
 
-// TestReadRejectsMalformedTrees feeds Read model files whose first tree
-// has been damaged in one structural way each. Read compiles every
-// tree, and compiling (or walking) a cyclic tree never terminates while
-// an out-of-range index panics, so each case must come back as an error
-// naming the defect — promptly, and without a panic.
-func TestReadRejectsMalformedTrees(t *testing.T) {
-	m, _ := fitTiny(t)
-	var raw bytes.Buffer
-	if err := m.Write(&raw); err != nil {
+// reread decodes raw into a fresh model, so a test may damage it
+// without touching the fixture.
+func reread(t *testing.T, raw []byte) *TwoLevelModel {
+	t.Helper()
+	m, err := Read(bytes.NewReader(raw))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// internal returns the index of an internal child of the root.
-	internal := func(tr *tree.Tree) int32 {
-		for _, c := range []int32{tr.Nodes[0].Left, tr.Nodes[0].Right} {
-			if tr.Nodes[c].Feature >= 0 {
-				return c
-			}
-		}
-		t.Fatal("fixture tree has no internal node below the root")
-		return 0
+	return m
+}
+
+// rewrite encodes m as it stands, damage included: Write serializes
+// without validating, so each damage reaches Read framed and
+// checksummed like a real file.
+func rewrite(t *testing.T, m *TwoLevelModel) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// TestReadRejectsMalformedTrees feeds Read model files whose first
+// forest's compiled tables have been damaged in one structural way
+// each, behind a valid section frame and checksum. Traversal assumes
+// every node is a child of an earlier internal node (so a walk moves
+// forward and ends at a leaf) and every implied child exists, so each
+// case must come back as an error naming the defect, without a panic.
+func TestReadRejectsMalformedTrees(t *testing.T) {
+	m, _ := fitTiny(t)
+	raw := rewrite(t, m)
+	// end0 is the end of tree 0's nodes in e.
+	end0 := func(e *treec.Ensemble) int { return int(e.Roots[1]) }
 	cases := []struct {
 		name, want string
-		damage     func(tr *tree.Tree)
+		damage     func(e *treec.Ensemble)
 	}{
-		{"empty", "empty tree", func(tr *tree.Tree) { tr.Nodes = nil }},
-		{"cycle", "reached twice", func(tr *tree.Tree) { tr.Nodes[internal(tr)].Left = 0 }},
-		{"self-loop", "reached twice", func(tr *tree.Tree) { tr.Nodes[0].Left = 0 }},
-		{"shared child", "reached twice", func(tr *tree.Tree) { tr.Nodes[0].Right = tr.Nodes[0].Left }},
-		{"child past end", "child", func(tr *tree.Tree) { tr.Nodes[0].Right = int32(len(tr.Nodes)) }},
-		{"negative child", "child", func(tr *tree.Tree) { tr.Nodes[0].Left = -1 }},
-		{"feature out of range", "splits on feature", func(tr *tree.Tree) { tr.Nodes[0].Feature = tr.Features }},
-		{"tree feature count", "tree expects", func(tr *tree.Tree) { tr.Features++ }},
-		{"unreachable node", "unreachable", func(tr *tree.Tree) {
-			tr.Nodes = append(tr.Nodes, tree.Node{Feature: -1, Value: 1})
+		{"empty", "empty forest", func(e *treec.Ensemble) {
+			*e = treec.Ensemble{Features: e.Features}
+		}},
+		{"child before parent", "has no parent before it", func(e *treec.Ensemble) { e.Feature[0] = -1 }},
+		{"shared root", "tree 0 spans nodes [0, 0)", func(e *treec.Ensemble) { e.Roots[1] = e.Roots[0] }},
+		{"negative root", "tree 0 spans nodes [0, -1)", func(e *treec.Ensemble) { e.Roots[1] = -1 }},
+		{"first root", "tree 0 starts at node 1", func(e *treec.Ensemble) { e.Roots[0] = 1 }},
+		{"child past end", "past the tree's end", func(e *treec.Ensemble) { e.Feature[end0(e)-1] = 0 }},
+		{"feature out of range", "splits on feature", func(e *treec.Ensemble) { e.Feature[0] = int32(e.Features) }},
+		{"feature below leaf marker", "splits on feature -2", func(e *treec.Ensemble) { e.Feature[0] = -2 }},
+		{"non-finite threshold", "non-finite value NaN", func(e *treec.Ensemble) { e.Thresh[0] = math.NaN() }},
+		{"non-finite leaf", "non-finite value +Inf", func(e *treec.Ensemble) { e.Thresh[end0(e)-1] = math.Inf(1) }},
+		{"unreachable node", "unreachable", func(e *treec.Ensemble) {
+			at := end0(e)
+			e.Feature = append(e.Feature[:at:at], append([]int32{-1}, e.Feature[at:]...)...)
+			e.Thresh = append(e.Thresh[:at:at], append([]float64{1}, e.Thresh[at:]...)...)
+			for i := 1; i < len(e.Roots); i++ {
+				e.Roots[i]++
+			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var f modelFile
-			if err := json.Unmarshal(raw.Bytes(), &f); err != nil {
-				t.Fatal(err)
-			}
-			tc.damage(f.Model.Interp[0].Trees[0])
-			damaged, err := json.Marshal(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() {
-				defer func() {
-					if p := recover(); p != nil {
-						done <- fmt.Errorf("panic: %v", p)
-					}
-				}()
-				_, err := Read(bytes.NewReader(damaged))
-				if err == nil {
-					err = fmt.Errorf("accepted")
-				}
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if !strings.Contains(err.Error(), "interpolation model 0 tree 0: ") || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("Read = %v, want an error about %q in model 0 tree 0", err, tc.want)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Read did not return")
+			dm := reread(t, raw)
+			tc.damage(&dm.compiled[0].E)
+			_, err := Read(bytes.NewReader(rewrite(t, dm)))
+			if err == nil || !strings.Contains(err.Error(), "interpolation model 0: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Read = %v, want an error about %q in interpolation model 0", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestReadRejectsDamagedFile damages the bytes of a model file around
+// and inside its section frames. Every length is checked against the
+// bytes present, and every payload against its checksum.
+func TestReadRejectsDamagedFile(t *testing.T) {
+	m, _ := fitTiny(t)
+	raw := rewrite(t, m)
+	hdrLen := int(binary.LittleEndian.Uint64(raw[12:]))
+	forest0 := 12 + 8 + hdrLen + 4 // offset of forest 0's length field
+	cases := []struct {
+		name, want string
+		damage     func(b []byte) []byte
+	}{
+		{"empty", "not a model file", func(b []byte) []byte { return nil }},
+		{"bad magic", "not a model file", func(b []byte) []byte { b[0] = 'X'; return b }},
+		{"future version", "version 3, this build reads 2", func(b []byte) []byte { b[8] = 3; return b }},
+		{"v1 json", "format v1", func(b []byte) []byte { return []byte(`{"version":1,"model":{}}`) }},
+		{"truncated header", "header section declares", func(b []byte) []byte { return b[:12+8+hdrLen/2] }},
+		{"truncated section", "forest 0 section declares", func(b []byte) []byte { return b[:forest0+100] }},
+		{"missing section", "ends before the forest 1 section", func(b []byte) []byte {
+			n := int(binary.LittleEndian.Uint64(b[forest0:]))
+			return b[:forest0+8+n+4]
+		}},
+		{"length past end", "forest 0 section declares", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[forest0:], uint64(len(b)))
+			return b
+		}},
+		{"huge length", "forest 0 section declares 18446744073709551615 bytes", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[forest0:], math.MaxUint64)
+			return b
+		}},
+		{"bad header checksum", "header section checksum", func(b []byte) []byte { b[12+8+1] ^= 1; return b }},
+		{"bad forest checksum", "forest 0 section checksum", func(b []byte) []byte { b[forest0+8+1] ^= 1; return b }},
+		{"trailing bytes", "3 bytes after the last section", func(b []byte) []byte { return append(b, " x\n\x00"...) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(tc.damage(bytes.Clone(raw))))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Read = %v, want an error about %q", err, tc.want)
+			}
+		})
+	}
+	if _, err := Read(bytes.NewReader(append(bytes.Clone(raw), " \n\t"...))); err != nil {
+		t.Fatalf("Read rejected trailing whitespace: %v", err)
+	}
+}
+
+// TestSaveReadSaveByteIdentical: the file is the compiled tables, so a
+// saved, loaded and re-saved model is byte for byte the first file, and
+// SaveSHA256 reports the hash of exactly the bytes on disk.
+func TestSaveReadSaveByteIdentical(t *testing.T) {
+	m, _ := fitClustered(t)
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	sum, err := m.SaveSHA256(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Save(second); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(first)
+	b, _ := os.ReadFile(second)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("Save(Load(Save(m))) differs from Save(m): %d vs %d bytes", len(b), len(a))
+	}
+	if sum != sha256.Sum256(a) {
+		t.Fatalf("SaveSHA256 = %x, file hashes to %x", sum, sha256.Sum256(a))
 	}
 }
 
@@ -284,16 +359,9 @@ func TestReadRejectsMalformedShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var f modelFile
-			if err := json.Unmarshal(raw.Bytes(), &f); err != nil {
-				t.Fatal(err)
-			}
-			tc.damage(f.Model)
-			damaged, err := json.Marshal(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Read(bytes.NewReader(damaged))
+			dm := reread(t, raw.Bytes())
+			tc.damage(dm)
+			got, err := Read(bytes.NewReader(rewrite(t, dm)))
 			if err == nil {
 				t.Fatalf("Read accepted the damaged file; Predict gives %v", got.Predict(p))
 			}
@@ -310,15 +378,28 @@ var fuzzParams = []float64{240, 160, 96, 28}
 
 // FuzzRead holds Read to its contract on arbitrary bytes: it returns an
 // error, or a model on which Predict, PredictIntervalCov and
-// AssignCluster run without panicking for an in-range configuration.
-// The seed corpus (testdata/fuzz/FuzzRead) holds a small anchored file
+// AssignCluster run without panicking for an in-range configuration;
+// either way it allocates in proportion to the input, never from a
+// length or count the input merely declares. The seed corpus
+// (testdata/fuzz/FuzzRead) holds format-v2 files: a small anchored file
 // with centroids and a calibration, a basis file, damaged matrices of
-// the anchored file, and basis files with damaged scale lists or basis
-// settings that once panicked at the first prediction; `go test`
-// replays it and `go test -fuzz` digs.
+// the anchored file, basis files with damaged scale lists or basis
+// settings that once panicked at the first prediction, and damaged
+// section frames and forest tables (v2-*), plus a format-v1 file;
+// `go test` replays it and `go test -fuzz` digs.
 func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		m, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// A loaded model holds its tables (16 bytes per 12-byte node on
+		// file) and the pointer trees rebuilt from them (40 bytes per
+		// node); reading the input and decoding the header add a few
+		// times its size.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+1<<20); got > limit {
+			t.Fatalf("Read of %d bytes allocated %d bytes (limit %d)", len(data), got, limit)
+		}
 		if err != nil {
 			return
 		}
@@ -330,4 +411,64 @@ func FuzzRead(f *testing.F) {
 		m.PredictIntervalCov(params, 0.9)
 		m.AssignCluster(params)
 	})
+}
+
+// TestFuzzReadSeedsNamedErrors replays the FuzzRead seed corpus, which
+// FuzzRead itself only holds to "no panic": the two intact files load,
+// and every damaged one fails with the error naming its damage.
+func TestFuzzReadSeedsNamedErrors(t *testing.T) {
+	want := map[string]string{
+		"anchored":                             "",
+		"basis":                                "",
+		"basis-huge-log-exponent":              "log exponent 1073741824 outside",
+		"basis-large-scale-below-small":        "not below smallest large scale 0",
+		"basis-no-small-scales":                "0 small and 3 large scales",
+		"basis-one-small-scale":                "at least four small scales, got 1",
+		"basis-single-task-negative-max-terms": "MaxTerms -1",
+		"basis-single-task-no-terms":           "basis model with 0 terms",
+		"centroids-cols":                       "centroids matrix is 3x7, want 3x6",
+		"centroids-data-short":                 "centroids matrix holds 17 values",
+		"coef-data-short":                      "coef matrix holds 17 values",
+		"coef-rows":                            "coef matrix is 7x3, want 6x3",
+		"v1-anchored":                          "format v1",
+		"v2-bad-checksum":                      "forest 0 section checksum",
+		"v2-child-before-parent":               "node 1 has no parent before it",
+		"v2-feature-out-of-range":              "splits on feature 4, outside [0, 4)",
+		"v2-node-count":                        "a child lies past the tree's end",
+		"v2-section-length-huge":               "forest 0 section declares 18446744073709551612 bytes",
+		"v2-section-length-past-eof":           "forest 0 section declares 4118 bytes",
+		"v2-truncated-section":                 "forest 0 section declares 176 bytes, 88 remain",
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzRead")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Errorf("corpus holds %d seeds, this test knows %d", len(entries), len(want))
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A seed file is "go test fuzz v1" and one []byte("...") line.
+		_, arg, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(arg, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("seed %s: %v", e.Name(), err)
+		}
+		w, ok := want[e.Name()]
+		if !ok {
+			t.Errorf("seed %s: no expected outcome", e.Name())
+			continue
+		}
+		_, err = Read(strings.NewReader(data))
+		switch {
+		case w == "" && err != nil:
+			t.Errorf("seed %s: %v, want a model", e.Name(), err)
+		case w != "" && (err == nil || !strings.Contains(err.Error(), w)):
+			t.Errorf("seed %s: Read = %v, want an error about %q", e.Name(), err, w)
+		}
+	}
 }

@@ -34,6 +34,7 @@ var clockCallSinks = []struct {
 	pkg, recv, name, desc string
 }{
 	{"repro/internal/core", "TwoLevelModel", "Save", "the model file ((*TwoLevelModel).Save)"},
+	{"repro/internal/core", "TwoLevelModel", "SaveSHA256", "the model file ((*TwoLevelModel).SaveSHA256)"},
 	{"repro/internal/core", "TwoLevelModel", "Write", "the model stream ((*TwoLevelModel).Write)"},
 	{"repro/internal/pipeline", "Journal", "Append", "the pipeline journal ((*Journal).Append)"},
 	{"repro/internal/pipeline", "Store", "Append", "the run-record store ((*Store).Append)"},

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -66,41 +65,34 @@ type Journal struct {
 	mu      sync.Mutex
 	entries []Entry
 	maxGen  int
+	torn    *TornTail // cut off by OpenJournal
 }
 
-// OpenJournal opens (or creates) the journal at path and replays it.
+// OpenJournal opens (or creates) the journal at path and replays it. A
+// torn last line is cut off the file and reported by Torn.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path}
-	f, err := os.Open(path)
+	torn, err := scanLines(path, func(b []byte) error {
+		var e Entry
+		if err := json.Unmarshal(b, &e); err != nil {
+			return err
+		}
+		j.entries = append(j.entries, e)
+		j.maxGen = max(j.maxGen, e.Gen)
+		return nil
+	})
 	if os.IsNotExist(err) {
 		return j, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("pipeline: journal %s line %d: %w", path, line, err)
-		}
-		j.entries = append(j.entries, e)
-		if e.Gen > j.maxGen {
-			j.maxGen = e.Gen
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("pipeline: journal %s: %w", path, err)
-	}
+	j.torn = torn
 	return j, nil
 }
+
+// Torn returns the torn last line OpenJournal cut off, or nil.
+func (j *Journal) Torn() *TornTail { return j.torn }
 
 // Append validates, persists (fsync), and records one entry. Entries
 // must not reuse a generation below the journal's high-water mark

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -70,5 +72,65 @@ func TestJournalAppendReplayAndGenerations(t *testing.T) {
 	}
 	if err := j2.Append(Entry{Gen: 6, Event: EventPromoted}); err == nil {
 		t.Fatal("entry without app accepted")
+	}
+}
+
+// TestJournalTornTailRecovery: a journal append cut off by a crash is
+// cut off at the next open and reported, and the next append lands on
+// a line of its own; a malformed line that is not the unterminated last
+// one is still an error.
+func TestJournalTornTailRecovery(t *testing.T) {
+	seed := func(t *testing.T) (path string, clean []byte) {
+		path = filepath.Join(t.TempDir(), "journal.jsonl")
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(Entry{Gen: 1, App: "smg", Event: EventPromoted, Records: 10}); err != nil {
+			t.Fatal(err)
+		}
+		clean, err = os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path, clean
+	}
+
+	t.Run("torn last line", func(t *testing.T) {
+		path, clean := seed(t)
+		appendRaw(t, path, `{"gen":2,"app":"sm`)
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if torn := j.Torn(); torn == nil || torn.Offset != int64(len(clean)) || torn.Bytes != 18 {
+			t.Fatalf("Torn = %v, want an 18-byte tail at offset %d", torn, len(clean))
+		}
+		if got := j.NextGen(); got != 2 {
+			t.Fatalf("NextGen after recovery = %d, want 2", got)
+		}
+		if err := j.Append(Entry{Gen: 2, App: "smg", Event: EventRejected, Records: 20}); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := OpenJournal(path)
+		if err != nil || len(j2.Entries()) != 2 || j2.Torn() != nil {
+			t.Fatalf("reopen after recovery: %v, %d entries", err, len(j2.Entries()))
+		}
+	})
+
+	for name, damage := range map[string]string{
+		"malformed middle line":          "{torn\n" + `{"gen":2,"app":"smg","event":"rejected"}` + "\n",
+		"malformed terminated last line": "{torn\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path, clean := seed(t)
+			appendRaw(t, path, damage)
+			if _, err := OpenJournal(path); err == nil || !strings.Contains(err.Error(), "line 2") {
+				t.Fatalf("OpenJournal = %v, want an error at line 2", err)
+			}
+			if after, _ := os.ReadFile(path); string(after) != string(clean)+damage {
+				t.Fatal("a failed open changed the file")
+			}
+		})
 	}
 }

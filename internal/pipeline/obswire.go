@@ -9,8 +9,10 @@ import (
 
 // pipelineStages are the timed phases of one training cycle, in
 // execution order. Each gets a span in the cycle's trace and a series
-// of the pipeline_stage_duration_seconds histogram.
-var pipelineStages = []string{"fit", "calibrate", "gate", "promote"}
+// of the pipeline_stage_duration_seconds histogram. "load" reads a model
+// file: the incumbent, on a fresh process's first cycle, or a rollback
+// target.
+var pipelineStages = []string{"fit", "calibrate", "load", "gate", "promote"}
 
 // stageBounds spans the plausible range of training-cycle stage
 // latencies: sub-millisecond gate checks up to multi-second fits on
@@ -40,7 +42,7 @@ type pipelineObs struct {
 // EnableObs attaches a metrics registry and a trace ring to the
 // pipeline. Each subsequent training cycle records a "pipeline"-kind
 // trace named after the app with ID "run-<app>-gen<N>" and per-stage
-// spans (fit, calibrate, gate, promote), increments
+// spans (fit, calibrate, load, gate, promote), increments
 // pipeline_cycles_total by outcome (rollbacks included), and feeds the span durations into
 // pipeline_stage_duration_seconds. Either argument may be nil to
 // enable only the other half. Call before the first cycle; not safe
@@ -66,10 +68,15 @@ func (p *Pipeline) EnableObs(reg *obs.Registry, tracer *obs.Tracer) {
 // deterministic — "run-<app>-gen<N>" — so journal origins and traces
 // cross-reference by construction.
 func (po *pipelineObs) startRun(app string, gen int) *obs.ReqTrace {
+	return po.startTrace(app, fmt.Sprintf("run-%s-gen%d", app, gen))
+}
+
+// startTrace opens a "pipeline"-kind trace named after app.
+func (po *pipelineObs) startTrace(app, id string) *obs.ReqTrace {
 	if po == nil || po.tracer == nil {
 		return nil
 	}
-	return po.tracer.StartRequest("pipeline", app, fmt.Sprintf("run-%s-gen%d", app, gen))
+	return po.tracer.StartRequest("pipeline", app, id)
 }
 
 // stage closes the span opened by rt.StartSpan under name and feeds

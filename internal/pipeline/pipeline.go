@@ -78,10 +78,20 @@ type Pipeline struct {
 	reg     *serving.Registry // optional; nil disables hot-swap
 	obs     *pipelineObs      // optional; set by EnableObs
 
+	// active is, per app, the generation this pipeline last installed
+	// and its model: the incumbent the next cycle gates against.
+	active map[string]installed
+
 	// Trigger state (trigger.go), guarded by trigMu.
 	trigMu sync.Mutex
 	kicked map[string]kickInfo // app -> pending kick
 	seen   map[string]int      // store record count at the last handled cycle
+}
+
+// installed is a generation number and its model.
+type installed struct {
+	gen   int
+	model *core.TwoLevelModel
 }
 
 // CycleResult describes one RunOnce outcome.
@@ -120,6 +130,7 @@ func New(store *Store, dir string, cfg Config, reg *serving.Registry) (*Pipeline
 		store:   store,
 		journal: j,
 		reg:     reg,
+		active:  map[string]installed{},
 		kicked:  map[string]kickInfo{},
 		seen:    j.lastRecords(),
 	}, nil
@@ -198,7 +209,7 @@ func (p *Pipeline) RunOnce(app, now string) (*CycleResult, error) {
 	cand.Meta.Calibration = calibrate(cand, holdout)
 	p.obs.stage(rt, "calibrate", calClock)
 
-	inc, incGen, err := p.activeModel(app)
+	inc, incGen, err := p.incumbent(app, rt)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: loading incumbent for %q: %w", app, err)
 	}
@@ -247,15 +258,18 @@ func (p *Pipeline) RunOnce(app, now string) (*CycleResult, error) {
 // decide records one decision — a promotion, a rejection at fit or at
 // the gate, or a rollback — everywhere it is reported, in crash order:
 // the journal entry first (a promoted model file is already on disk, so
-// a crash after the append is recovered by InstallActive); then, when a
-// registry is attached, the hot-swap of m (nil for rejections) and the
-// outcome for /metrics, whose outcome names are the journal's event
-// names; then pipeline_cycles_total; last the trigger baseline. A
-// rollback trains nothing, so it leaves the trigger, and any pending
-// kick, alone.
+// a crash after the append is recovered by InstallActive); then the
+// installed model m (nil for rejections) becomes the app's incumbent
+// and, when a registry is attached, is hot-swapped in, and the outcome
+// goes to /metrics under the journal's event name; then
+// pipeline_cycles_total; last the trigger baseline. A rollback trains
+// nothing, so it leaves the trigger, and any pending kick, alone.
 func (p *Pipeline) decide(e Entry, m *core.TwoLevelModel) error {
 	if err := p.journal.Append(e); err != nil {
 		return err
+	}
+	if m != nil {
+		p.active[e.App] = installed{gen: e.Gen, model: m}
 	}
 	if p.reg != nil {
 		if m != nil {

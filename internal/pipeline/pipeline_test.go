@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -355,4 +357,95 @@ func TestPipelineDeterminism(t *testing.T) {
 			t.Fatalf("%s differs between identical pipeline runs", f.Name())
 		}
 	}
+}
+
+// TestIncumbentKeptInMemory: the pipeline gates a cycle against the
+// model it last installed, not against its file. With generation 1's
+// file deleted or corrupted after its promotion, the next cycle still
+// judges against generation 1 and promotes, and the journal is byte for
+// byte that of a run that kept the file, and that of a restarted
+// pipeline, which has to read the incumbent from disk. Every promoted
+// entry's ModelSHA is the SHA-256 of its file.
+func TestIncumbentKeptInMemory(t *testing.T) {
+	_, more := testHistories(t)
+	run := func(between func(p *Pipeline, gen1 string) *Pipeline) (journal []byte, gensDir string) {
+		t.Helper()
+		gensDir = t.TempDir()
+		store := newSeededStore(t, t.TempDir())
+		p, err := New(store, gensDir, testPipelineConfig(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.RunOnce(testApp, "")
+		if err != nil || !res.Promoted {
+			t.Fatalf("cycle 1: %+v, %v", res, err)
+		}
+		p = between(p, res.Path)
+		if _, _, err := store.ImportTable(more); err != nil {
+			t.Fatal(err)
+		}
+		res, err = p.RunOnce(testApp, "")
+		if err != nil || !res.Promoted || res.Gate.Reason == "" {
+			t.Fatalf("cycle 2: %+v, %v", res, err)
+		}
+		raw, err := os.ReadFile(filepath.Join(gensDir, "journal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw, gensDir
+	}
+	kept, dir := run(func(p *Pipeline, _ string) *Pipeline { return p })
+	entries := journalEntries(t, kept)
+	if len(entries) != 2 || entries[1].Incumbent != 1 {
+		t.Fatalf("journal %s: want two promotions, the second judged against generation 1", kept)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.ModelPath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(raw)); e.ModelSHA != sum {
+			t.Fatalf("gen %d: journal ModelSHA %s, file hashes to %s", e.Gen, e.ModelSHA, sum)
+		}
+	}
+	variants := map[string]func(p *Pipeline, gen1 string) *Pipeline{
+		"deleted": func(p *Pipeline, gen1 string) *Pipeline {
+			if err := os.Remove(gen1); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		"corrupted": func(p *Pipeline, gen1 string) *Pipeline {
+			if err := os.WriteFile(gen1, []byte("{torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		"restarted": func(p *Pipeline, _ string) *Pipeline {
+			q, err := New(p.Store(), p.dir, testPipelineConfig(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q
+		},
+	}
+	for name, between := range variants {
+		if got, _ := run(between); !bytes.Equal(got, kept) {
+			t.Fatalf("%s: journal differs from the run that kept the file:\n%s\nvs\n%s", name, got, kept)
+		}
+	}
+}
+
+// journalEntries decodes a journal's lines.
+func journalEntries(t *testing.T, raw []byte) []Entry {
+	t.Helper()
+	var out []Entry
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var e Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, e)
+	}
+	return out
 }

@@ -1,13 +1,12 @@
 package pipeline
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // The promotion stage: the generations directory holds one model file
@@ -23,34 +22,46 @@ func (p *Pipeline) ModelPath(app string, gen int) string {
 }
 
 // writeGeneration atomically writes the candidate as a
-// generation-numbered model file and returns its path and content hash.
-// It is the first step of a promotion: the journal entry and registry
-// install follow in decide, so a crash between them is recovered by
-// InstallActive.
+// generation-numbered model file and returns its path and the SHA-256
+// of its bytes, hashed as they stream to disk. It is the first step of
+// a promotion: the journal entry and registry install follow in decide,
+// so a crash between them is recovered by InstallActive.
 func (p *Pipeline) writeGeneration(m *core.TwoLevelModel, app string, gen int) (path, sha string, err error) {
 	path = p.ModelPath(app, gen)
-	if err := m.Save(path); err != nil {
-		return "", "", err
-	}
-	raw, err := os.ReadFile(path)
+	sum, err := m.SaveSHA256(path)
 	if err != nil {
 		return "", "", err
 	}
-	return path, fmt.Sprintf("%x", sha256.Sum256(raw)), nil
+	return path, fmt.Sprintf("%x", sum), nil
 }
 
-// activeModel loads app's currently active generation from disk.
-// A nil model with a nil error means no generation has been promoted.
-func (p *Pipeline) activeModel(app string) (*core.TwoLevelModel, int, error) {
+// incumbent returns app's active generation and its model. That is the
+// model this pipeline last installed (decide and InstallActive keep it),
+// so the file is read only on first use in a fresh process, timed as
+// the load stage of rt. A nil model with a nil error means no
+// generation has been promoted.
+func (p *Pipeline) incumbent(app string, rt *obs.ReqTrace) (*core.TwoLevelModel, int, error) {
 	gen, ok := p.journal.Active(app)
 	if !ok {
 		return nil, 0, nil
 	}
-	m, err := core.Load(p.ModelPath(app, gen))
+	if a, ok := p.active[app]; ok && a.gen == gen {
+		return a.model, gen, nil
+	}
+	m, err := p.load(app, gen, rt)
 	if err != nil {
 		return nil, 0, fmt.Errorf("active generation %d: %w", gen, err)
 	}
+	p.active[app] = installed{gen: gen, model: m}
 	return m, gen, nil
+}
+
+// load reads one generation's model file, timed as the load stage of rt.
+func (p *Pipeline) load(app string, gen int, rt *obs.ReqTrace) (*core.TwoLevelModel, error) {
+	c := rt.StartSpan()
+	m, err := core.Load(p.ModelPath(app, gen))
+	p.obs.stage(rt, "load", c)
+	return m, err
 }
 
 // InstallActive loads every app's active generation from disk into the
@@ -67,7 +78,7 @@ func (p *Pipeline) InstallActive() error {
 		apps[e.App] = true
 	}
 	for _, app := range sortedKeys(apps) {
-		m, _, err := p.activeModel(app)
+		m, _, err := p.incumbent(app, nil)
 		if err != nil {
 			return fmt.Errorf("pipeline: app %q: %w", app, err)
 		}
@@ -80,7 +91,8 @@ func (p *Pipeline) InstallActive() error {
 }
 
 // Rollback reverts app to the generation promoted before the currently
-// active one: the model file is re-read, journaled as the new active
+// active one: the model file is re-read (timed as the load stage of a
+// "rollback-<app>-gen<N>" trace), journaled as the new active
 // generation, and hot-swapped into the registry. Rolling back twice
 // walks back one more promotion each time until none remain. now is an
 // optional timestamp stamped by the caller (the CLI boundary); empty
@@ -94,7 +106,9 @@ func (p *Pipeline) Rollback(app, now string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("pipeline: app %q has no generation before %d to roll back to", app, cur)
 	}
-	m, err := core.Load(p.ModelPath(app, prev))
+	rt := p.obs.startTrace(app, fmt.Sprintf("rollback-%s-gen%d", app, prev))
+	defer rt.Finish(0)
+	m, err := p.load(app, prev, rt)
 	if err != nil {
 		return 0, fmt.Errorf("pipeline: loading rollback target gen %d: %w", prev, err)
 	}

@@ -32,6 +32,7 @@ type Store struct {
 
 	mu   sync.Mutex
 	apps map[string]*appPartition
+	torn []TornTail // cut off by scans, until TornTails hands them out
 }
 
 // appPartition is the in-memory index of one application's file.
@@ -118,65 +119,76 @@ func (s *Store) scanLocked() error {
 			continue
 		}
 		app := strings.TrimSuffix(e.Name(), ".jsonl")
-		part, err := readPartition(filepath.Join(s.dir, e.Name()), app)
+		part, torn, err := readPartition(filepath.Join(s.dir, e.Name()), app)
 		if err != nil {
 			return err
 		}
-		apps[app] = part
+		if torn != nil {
+			s.torn = append(s.torn, *torn)
+		}
+		if part != nil {
+			apps[app] = part
+		}
 	}
 	s.apps = apps
 	return nil
 }
 
-// readPartition loads and indexes one partition file.
-func readPartition(path, app string) (*appPartition, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("pipeline: %s: %w", path, err)
-		}
-		return nil, fmt.Errorf("pipeline: %s: empty partition file", path)
-	}
-	var hdr storeHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("pipeline: %s header: %w", path, err)
-	}
-	if hdr.App != app {
-		return nil, fmt.Errorf("pipeline: %s: header names app %q, file is partition %q", path, hdr.App, app)
-	}
-	part := &appPartition{paramNames: hdr.ParamNames, hashes: map[string]bool{}}
-	line := 1
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+// TornTails returns the torn last lines OpenStore and Refresh have cut
+// off partition files since the previous call, and forgets them.
+func (s *Store) TornTails() []TornTail {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.torn
+	s.torn = nil
+	return out
+}
+
+// readPartition loads and indexes one partition file. A torn last line
+// is cut off and reported; a file that held only a torn header is
+// removed, and comes back as a nil partition.
+func readPartition(path, app string) (*appPartition, *TornTail, error) {
+	var part *appPartition
+	torn, err := scanLines(path, func(b []byte) error {
+		if part == nil {
+			var hdr storeHeader
+			if err := json.Unmarshal(b, &hdr); err != nil {
+				return fmt.Errorf("header: %w", err)
+			}
+			if hdr.App != app {
+				return fmt.Errorf("header names app %q, file is partition %q", hdr.App, app)
+			}
+			part = &appPartition{paramNames: hdr.ParamNames, hashes: map[string]bool{}}
+			return nil
 		}
 		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("pipeline: %s line %d: %w", path, line, err)
+		if err := json.Unmarshal(b, &rec); err != nil {
+			return err
 		}
 		rec.App = app
 		if len(rec.Params) != len(part.paramNames) {
-			return nil, fmt.Errorf("pipeline: %s line %d: %d params, partition has %d columns",
-				path, line, len(rec.Params), len(part.paramNames))
+			return fmt.Errorf("%d params, partition has %d columns", len(rec.Params), len(part.paramNames))
 		}
 		h := rec.Hash()
 		if part.hashes[h] {
-			continue // duplicate left behind before a Compact
+			return nil // duplicate left behind before a Compact
 		}
 		part.hashes[h] = true
 		part.records = append(part.records, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("pipeline: %s: %w", path, err)
+	if part == nil {
+		if torn == nil {
+			return nil, nil, fmt.Errorf("pipeline: %s: empty partition file", path)
+		}
+		if err := os.Remove(path); err != nil {
+			return nil, nil, err
+		}
 	}
-	return part, nil
+	return part, torn, nil
 }
 
 // path returns the partition file for app.
@@ -247,28 +259,6 @@ func (s *Store) Append(paramNames []string, rec Record) (bool, error) {
 	part.hashes[h] = true
 	part.records = append(part.records, rec)
 	return true, nil
-}
-
-// appendLine appends one newline-terminated line and fsyncs. create
-// allows creating the file (first line of a new partition).
-func appendLine(path string, line []byte, create bool) error {
-	flags := os.O_WRONLY | os.O_APPEND
-	if create {
-		flags |= os.O_CREATE | os.O_EXCL
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ImportTable appends every run of a dataset table under its App name,

@@ -232,3 +232,116 @@ func TestStoreCompactDropsDuplicateLines(t *testing.T) {
 		t.Fatalf("Count after compact = %d, want 1", got)
 	}
 }
+
+// appendRaw appends bytes to a file as a crashed writer would leave
+// them: no lock, no trailing newline.
+func appendRaw(t *testing.T, path, s string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(s); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreTornTailRecovery: an append cut off by a crash (kill -9
+// mid-write) leaves the front of a record with no newline. Opening the
+// store cuts it off, reports it, and appends resume on a line of their
+// own; a malformed line with more after it is still an error, as is a
+// malformed last line that was written whole.
+func TestStoreTornTailRecovery(t *testing.T) {
+	cols := []string{"nx", "ny"}
+	rec := func(i int) Record {
+		return Record{App: "smg2000", Params: []float64{float64(i), 16}, Scale: 4, Runtime: 1.5}
+	}
+	seed := func(t *testing.T) (dir, path string, clean []byte) {
+		dir = t.TempDir()
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := s.Append(cols, rec(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path = s.path("smg2000")
+		clean, err = os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, path, clean
+	}
+
+	t.Run("torn last line", func(t *testing.T) {
+		dir, path, clean := seed(t)
+		appendRaw(t, path, `{"params":[2,1`)
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := s.TornTails()
+		if len(torn) != 1 || torn[0].Offset != int64(len(clean)) || torn[0].Bytes != 14 || torn[0].Err == nil {
+			t.Fatalf("TornTails = %v, want one 14-byte tail at offset %d", torn, len(clean))
+		}
+		if again := s.TornTails(); len(again) != 0 {
+			t.Fatalf("TornTails reported %v twice", again)
+		}
+		if after, _ := os.ReadFile(path); string(after) != string(clean) {
+			t.Fatalf("file after recovery:\n%s\nwant:\n%s", after, clean)
+		}
+		if ok, err := s.Append(cols, rec(2)); err != nil || !ok {
+			t.Fatalf("Append after recovery = %v, %v", ok, err)
+		}
+		s2, err := OpenStore(dir)
+		if err != nil || s2.Count("smg2000") != 3 || len(s2.TornTails()) != 0 {
+			t.Fatalf("reopen after recovery: %v, %d records", err, s2.Count("smg2000"))
+		}
+	})
+
+	t.Run("unterminated whole line", func(t *testing.T) {
+		dir, path, clean := seed(t)
+		appendRaw(t, path, `{"params":[2,16],"scale":4,"runtime":1.5}`)
+		s, err := OpenStore(dir)
+		if err != nil || s.Count("smg2000") != 3 || len(s.TornTails()) != 0 {
+			t.Fatalf("OpenStore = %v with %d records, want the whole last line kept", err, s.Count("smg2000"))
+		}
+		if after, _ := os.ReadFile(path); !strings.HasSuffix(string(after), "}\n") || len(after) <= len(clean) {
+			t.Fatalf("unterminated last line was not given its newline:\n%s", after)
+		}
+	})
+
+	t.Run("torn header", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "smg2000.jsonl")
+		if err := os.WriteFile(path, []byte(`{"app":"smg2`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStore(dir)
+		if err != nil || len(s.Apps()) != 0 || len(s.TornTails()) != 1 {
+			t.Fatalf("OpenStore = %v with apps %v, want the torn partition dropped and reported", err, s.Apps())
+		}
+		if ok, err := s.Append(cols, rec(0)); err != nil || !ok {
+			t.Fatalf("Append into the dropped partition = %v, %v", ok, err)
+		}
+	})
+
+	for name, damage := range map[string]string{
+		"malformed middle line":          "{torn\n" + `{"params":[2,16],"scale":4,"runtime":1.5}` + "\n",
+		"malformed terminated last line": "{torn\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir, path, clean := seed(t)
+			appendRaw(t, path, damage)
+			if _, err := OpenStore(dir); err == nil || !strings.Contains(err.Error(), "line 4") {
+				t.Fatalf("OpenStore = %v, want an error at line 4", err)
+			}
+			if after, _ := os.ReadFile(path); string(after) != string(clean)+damage {
+				t.Fatal("a failed open changed the file")
+			}
+		})
+	}
+}
