@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet vet-perfbench fmt lint lint-audit lint-sarif test race bench-paper bench-serving clean
+.PHONY: verify build vet vet-perfbench fmt lint lint-audit lint-sarif test race fuzz bench-paper bench-serving clean
 
 verify: build vet vet-perfbench fmt lint lint-audit race
 
@@ -44,6 +44,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every native fuzz target, past its committed seed corpus, for 30 s
+# each. `go test -fuzz` takes one target per run. The minimize cap
+# keeps shrinking one new interesting input (up to the 60 s default for
+# a ~7 KB model file) from eating a short run.
+FUZZ = $(GO) test -run '^$$' -fuzztime 30s -fuzzminimizetime 5s
+
+fuzz:
+	$(FUZZ) -fuzz '^FuzzRead$$' ./internal/core/
+	$(FUZZ) -fuzz '^FuzzCompiledForestPredict$$' ./internal/treec/
+	$(FUZZ) -fuzz '^FuzzReadPartition$$' ./internal/pipeline/
+	$(FUZZ) -fuzz '^FuzzOpenJournal$$' ./internal/pipeline/
 
 # Reduced-size reconstruction of every table/figure plus the core
 # micro-benchmarks; see bench_test.go.

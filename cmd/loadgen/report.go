@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serving"
 )
 
@@ -68,7 +69,7 @@ type ServerSection struct {
 	PredictErrors   int64 `json:"predict_errors"`
 	// PredictLatency is the after-minus-before histogram for the predict
 	// endpoint (counts over the fixed millisecond buckets, "+Inf" last).
-	PredictLatency serving.HistogramSnapshot `json:"predict_latency"`
+	PredictLatency obs.HistogramSnapshot `json:"predict_latency"`
 
 	PredictionsTotal int64 `json:"predictions_total"` // configurations, counting batch entries
 	CacheHits        int64 `json:"cache_hits"`

@@ -257,9 +257,8 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 }
 
 // CounterFunc registers a counter whose value is sampled from fn at
-// exposition time — the bridge for counters owned by collaborating
-// packages (cache hits, admission-controller sheds) that already keep
-// their own atomics.
+// exposition time, for counts another package must keep itself (the
+// admission controller's, which move under its own mutex).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	r.registerFunc(name, help, kindCounter, fn, labels)
 }

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"os"
 	"sync"
+
+	"repro/internal/serving"
 )
 
-// Journal event kinds.
+// Journal event kinds: the serving layer's outcome names, so a journal
+// event, NotePromotion and the pipeline_cycles_total label agree.
 const (
-	EventPromoted = "promoted"
-	EventRejected = "rejected"
-	EventRollback = "rollback"
+	EventPromoted = serving.PromotionPromoted
+	EventRejected = serving.PromotionRejected
+	EventRollback = serving.PromotionRollback
 )
 
 // Entry is one audit record: what the pipeline did, to which app, at

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serving"
 )
 
 // pipelineStages are the timed phases of one training cycle, in
@@ -27,6 +28,10 @@ func stageBounds() []time.Duration {
 	}
 }
 
+// eventSkipped labels cycles that found nothing new to train on; it is
+// counted but never journaled.
+const eventSkipped = "skipped"
+
 // pipelineObs holds the pipeline's observability handles. A nil
 // *pipelineObs (EnableObs never called) turns every method into a
 // no-op, so RunOnce needs no guards. Stage durations are measured by
@@ -35,7 +40,7 @@ func stageBounds() []time.Duration {
 // clock-free either way.
 type pipelineObs struct {
 	tracer *obs.Tracer
-	cycles map[string]*obs.Counter   // outcome ("promoted"/"rejected"/"rollback"/"skipped") -> counter
+	cycles map[string]*obs.Counter   // outcome (an Event* or eventSkipped) -> counter
 	stages map[string]*obs.Histogram // stage name -> duration histogram
 }
 
@@ -51,9 +56,8 @@ func (p *Pipeline) EnableObs(reg *obs.Registry, tracer *obs.Tracer) {
 	po := &pipelineObs{tracer: tracer}
 	if reg != nil {
 		po.cycles = map[string]*obs.Counter{}
-		for _, ev := range []string{EventPromoted, EventRejected, EventRollback, "skipped"} {
-			po.cycles[ev] = reg.Counter("pipeline_cycles_total",
-				"Training cycles and rollbacks, by outcome.", obs.L("event", ev))
+		for _, ev := range []string{EventPromoted, EventRejected, EventRollback, eventSkipped} {
+			po.cycles[ev] = serving.PipelineCycles(reg, ev)
 		}
 		po.stages = map[string]*obs.Histogram{}
 		for _, st := range pipelineStages {

@@ -167,7 +167,7 @@ func (p *Pipeline) RunOnce(app, now string) (*CycleResult, error) {
 	count := p.store.Count(app)
 	due, why, origin := p.due(app, count)
 	if !due {
-		p.obs.count("skipped")
+		p.obs.count(eventSkipped)
 		return &CycleResult{App: app, Skipped: true, Reason: why}, nil
 	}
 
@@ -260,9 +260,9 @@ func (p *Pipeline) RunOnce(app, now string) (*CycleResult, error) {
 // the journal entry first (a promoted model file is already on disk, so
 // a crash after the append is recovered by InstallActive); then the
 // installed model m (nil for rejections) becomes the app's incumbent
-// and, when a registry is attached, is hot-swapped in, and the outcome
-// goes to /metrics under the journal's event name; then
-// pipeline_cycles_total; last the trigger baseline. A rollback trains
+// and, when a registry is attached, is hot-swapped in and noted as the
+// last outcome; then pipeline_cycles_total, the outcome's one count,
+// which /metrics JSON and text both read; last the trigger baseline. A rollback trains
 // nothing, so it leaves the trigger, and any pending kick, alone.
 func (p *Pipeline) decide(e Entry, m *core.TwoLevelModel) error {
 	if err := p.journal.Append(e); err != nil {

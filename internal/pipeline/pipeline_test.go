@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/serving"
 )
 
@@ -96,13 +97,14 @@ func TestPipelineEndToEnd(t *testing.T) {
 	store := newSeededStore(t, storeDir)
 
 	reg := serving.NewRegistry()
-	srv := serving.New(reg, serving.DefaultOptions())
-	h := srv.Handler()
+	oreg := obs.NewRegistry("repro")
+	h := newObsServer(reg, oreg)
 
 	p, err := New(store, gensDir, testPipelineConfig(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.EnableObs(oreg, nil)
 
 	// ---- cycle 1: bootstrap promotion ----
 	res, err := p.RunOnce(testApp, "")
@@ -175,6 +177,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	strict.EnableObs(oreg, nil)
 	// Same store, nothing new: the journal-primed trigger skips...
 	if res, err := strict.RunOnce(testApp, ""); err != nil || !res.Skipped {
 		t.Fatalf("reopened pipeline did not restore trigger state: %+v, %v", res, err)
@@ -256,6 +259,15 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// newObsServer serves reg with oreg as its metrics registry; a pipeline
+// counting into the same oreg (EnableObs) shows its outcomes in the
+// /metrics JSON pipeline block, as in cmd/serve.
+func newObsServer(reg *serving.Registry, oreg *obs.Registry) http.Handler {
+	opts := serving.DefaultOptions()
+	opts.Obs = oreg
+	return serving.New(reg, opts).Handler()
+}
+
 // metricsSnapshot reads the /metrics JSON document and fails unless it
 // carries the pipeline section.
 func metricsSnapshot(t *testing.T, h http.Handler) serving.Snapshot {
@@ -287,11 +299,13 @@ func TestFitFailureRejectionReachesMetrics(t *testing.T) {
 		}
 	}
 	reg := serving.NewRegistry()
-	h := serving.New(reg, serving.DefaultOptions()).Handler()
+	oreg := obs.NewRegistry("repro")
+	h := newObsServer(reg, oreg)
 	p, err := New(store, t.TempDir(), testPipelineConfig(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.EnableObs(oreg, nil)
 	res, err := p.RunOnce(testApp, "")
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,8 @@ import (
 	"container/list"
 	"context"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // Cache is an LRU cache with single-flight deduplication: concurrent
@@ -12,7 +13,8 @@ import (
 // share its result. Keys embed the model version (see predictKey), so a
 // hot-swap naturally invalidates stale results without an explicit
 // flush. A capacity <= 0 disables caching entirely (DoBytes always
-// computes).
+// computes). Its counters are handles in the obs registry it was built
+// on, so /metrics JSON (Stats) and the Prometheus text read one store.
 type Cache struct {
 	capacity int
 
@@ -21,11 +23,11 @@ type Cache struct {
 	items    map[string]*list.Element
 	inflight map[string]*flightCall
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
-	abandoned atomic.Int64 // coalesced waits given up via context
-	evictions atomic.Int64
+	hits      *obs.Counter
+	misses    *obs.Counter
+	coalesced *obs.Counter
+	abandoned *obs.Counter // coalesced waits given up via context
+	evictions *obs.Counter
 }
 
 type cacheItem struct {
@@ -43,14 +45,22 @@ type flightCall struct {
 	err  error
 }
 
-// NewCache creates a cache holding at most capacity entries.
-func NewCache(capacity int) *Cache {
-	return &Cache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		inflight: make(map[string]*flightCall),
+// NewCache creates a cache holding at most capacity entries and
+// registers its cache_* series on reg.
+func NewCache(capacity int, reg *obs.Registry) *Cache {
+	c := &Cache{
+		capacity:  capacity,
+		ll:        list.New(),
+		items:     make(map[string]*list.Element),
+		inflight:  make(map[string]*flightCall),
+		hits:      reg.Counter("cache_hits_total", "prediction cache hits"),
+		misses:    reg.Counter("cache_misses_total", "prediction cache misses"),
+		coalesced: reg.Counter("cache_coalesced_total", "lookups coalesced into an in-flight computation"),
+		abandoned: reg.Counter("cache_abandoned_total", "coalesced waits given up when the caller's context ended"),
+		evictions: reg.Counter("cache_evictions_total", "LRU evictions"),
 	}
+	reg.GaugeFunc("cache_entries", "live prediction cache entries", func() float64 { return float64(c.Len()) })
+	return c
 }
 
 // Get returns the cached value for key, marking it most recently used.
@@ -90,7 +100,7 @@ func (c *Cache) Get(key string) (any, bool) {
 // cancellation plumbing of its own.
 func (c *Cache) DoBytes(ctx context.Context, key []byte, fn func() (any, error)) (any, bool, error) {
 	if c.capacity <= 0 {
-		c.misses.Add(1)
+		c.misses.Inc()
 		v, err := fn()
 		return v, false, err
 	}
@@ -100,20 +110,20 @@ func (c *Cache) DoBytes(ctx context.Context, key []byte, fn func() (any, error))
 		c.ll.MoveToFront(el)
 		v := el.Value.(*cacheItem).val
 		c.mu.Unlock()
-		c.hits.Add(1)
+		c.hits.Inc()
 		return v, true, nil
 	}
 	skey := string(key) // miss: materialize the key once
 	if fl, ok := c.inflight[skey]; ok {
 		c.mu.Unlock()
-		c.coalesced.Add(1)
+		c.coalesced.Inc()
 		select {
 		case <-fl.done:
 			return fl.val, fl.err == nil, fl.err
 		case <-ctx.Done():
 			// Abandon the wait, not the computation: the owner still
 			// finishes and caches for the callers that remain.
-			c.abandoned.Add(1)
+			c.abandoned.Inc()
 			return nil, false, ctx.Err()
 		}
 	}
@@ -121,7 +131,7 @@ func (c *Cache) DoBytes(ctx context.Context, key []byte, fn func() (any, error))
 	c.inflight[skey] = fl
 	c.mu.Unlock()
 
-	c.misses.Add(1)
+	c.misses.Inc()
 	fl.val, fl.err = fn()
 
 	c.mu.Lock()
@@ -146,7 +156,7 @@ func (c *Cache) add(key string, val any) {
 		back := c.ll.Back()
 		c.ll.Remove(back)
 		delete(c.items, back.Value.(*cacheItem).key)
-		c.evictions.Add(1)
+		c.evictions.Inc()
 	}
 }
 

@@ -9,14 +9,19 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// newTestCache builds a cache counting into a registry of its own.
+func newTestCache(capacity int) *Cache { return NewCache(capacity, obs.NewRegistry("")) }
 
 func constant(v any) func() (any, error) {
 	return func() (any, error) { return v, nil }
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c := NewCache(4)
+	c := newTestCache(4)
 	v, hit, err := c.DoBytes(context.Background(), []byte("a"), constant(1))
 	if err != nil || hit || v != 1 {
 		t.Fatalf("first DoBytes = %v, %v, %v", v, hit, err)
@@ -32,7 +37,7 @@ func TestCacheHitMiss(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := newTestCache(2)
 	c.DoBytes(context.Background(), []byte("a"), constant(1))
 	c.DoBytes(context.Background(), []byte("b"), constant(2))
 	c.DoBytes(context.Background(), []byte("a"), constant(0)) // touch a; b becomes LRU
@@ -49,7 +54,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheErrorNotCached(t *testing.T) {
-	c := NewCache(4)
+	c := newTestCache(4)
 	boom := errors.New("boom")
 	calls := 0
 	fn := func() (any, error) { calls++; return nil, boom }
@@ -68,7 +73,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 }
 
 func TestCacheSingleFlight(t *testing.T) {
-	c := NewCache(16)
+	c := newTestCache(16)
 	var computes atomic.Int64
 	release := make(chan struct{})
 	const waiters = 16
@@ -116,7 +121,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // ctx.Err() while the owning computation still runs to completion and
 // caches its result for everyone else. Run under -race.
 func TestCacheCoalescedWaitAbandonsOnCancel(t *testing.T) {
-	c := NewCache(4)
+	c := newTestCache(4)
 	inFn := make(chan struct{})
 	release := make(chan struct{})
 	ownerDone := make(chan error, 1)
@@ -166,7 +171,7 @@ func TestCacheCoalescedWaitAbandonsOnCancel(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0)
+	c := newTestCache(0)
 	calls := 0
 	fn := func() (any, error) { calls++; return calls, nil }
 	c.DoBytes(context.Background(), []byte("k"), fn)
@@ -180,7 +185,7 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheConcurrentMixed(t *testing.T) {
-	c := NewCache(32)
+	c := newTestCache(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

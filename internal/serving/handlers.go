@@ -75,8 +75,9 @@ type Options struct {
 	SyntheticDelay time.Duration
 
 	// Obs, when set, is the shared metrics registry the server registers
-	// into (cmd/serve passes one so pipeline metrics share the same
-	// Prometheus exposition); nil gets a private registry.
+	// into; nil gets a private registry. An embedded pipeline must count
+	// its outcomes into the same registry (cmd/serve passes one to both)
+	// for the /metrics JSON pipeline block to see them.
 	Obs *obs.Registry
 
 	// Tracer, when set, is a shared trace ring; nil (with tracing
@@ -99,7 +100,8 @@ func DefaultOptions() Options { return Options{CacheSize: DefaultCacheSize} }
 type Server struct {
 	reg          *Registry
 	cache        *Cache
-	metrics      *Metrics
+	oreg         *obs.Registry // every counter of the server and its cache
+	metrics      *metrics
 	mux          *http.ServeMux
 	batchWorkers int
 	drift        *uncertainty.MonitorSet
@@ -121,10 +123,15 @@ type Server struct {
 
 // New builds a Server over a registry.
 func New(reg *Registry, opts Options) *Server {
+	oreg := opts.Obs
+	if oreg == nil {
+		oreg = obs.NewRegistry("repro")
+	}
 	s := &Server{
 		reg:          reg,
-		cache:        NewCache(opts.CacheSize),
-		metrics:      NewMetrics(opts.Obs),
+		cache:        NewCache(opts.CacheSize, oreg),
+		oreg:         oreg,
+		metrics:      newMetrics(oreg),
 		mux:          http.NewServeMux(),
 		batchWorkers: opts.BatchWorkers,
 
@@ -145,7 +152,7 @@ func New(reg *Registry, opts Options) *Server {
 		}
 		s.ids = obs.NewIDGen("")
 	}
-	s.metrics.registerCollaborators(s.cache, s.reg, s.load)
+	registerSampled(oreg, s.reg, s.load)
 	s.drift = uncertainty.NewMonitorSet(opts.Drift, func(model, reason, origin string) {
 		s.metrics.driftKicks.Inc()
 		if opts.OnDrift != nil {
@@ -167,9 +174,6 @@ func New(reg *Registry, opts Options) *Server {
 
 // Handler returns the root http.Handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics exposes the server's metrics accumulator (for embedding).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Cache exposes the prediction cache (for embedding and tests).
 func (s *Server) Cache() *Cache { return s.cache }
@@ -621,10 +625,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ *obs.Re
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// A write error means the scraper went away mid-reply; the status
 		// line is committed, so there is nothing left to do.
-		_ = s.metrics.WritePrometheus(w)
+		_ = s.oreg.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.cache, s.reg, s.drift, s.load))
+	writeJSON(w, http.StatusOK, s.snapshot())
 }
 
 // wantsPromText decides the /metrics representation from an Accept

@@ -362,7 +362,7 @@ func TestConcurrentLoadAndHotReload(t *testing.T) {
 	if e.Version < 2 {
 		t.Fatalf("no hot-swap happened: version %d", e.Version)
 	}
-	snap := s.Metrics().Snapshot(s.Cache(), reg, nil, nil)
+	snap := s.snapshot()
 	if snap.RequestsTotal < clients*perClient {
 		t.Fatalf("requests_total %d < %d", snap.RequestsTotal, clients*perClient)
 	}
@@ -455,7 +455,7 @@ func TestPanicRecovery(t *testing.T) {
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d", w.Code)
 	}
-	snap := s.Metrics().Snapshot(s.Cache(), reg, nil, nil)
+	snap := s.snapshot()
 	if snap.PanicsTotal != 1 || snap.Endpoints["other"].Errors != 1 {
 		t.Fatalf("snapshot after panic %+v", snap)
 	}

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/loadctl"
@@ -9,31 +8,14 @@ import (
 	"repro/internal/uncertainty"
 )
 
-// latencyBucketsMS are the upper bounds (milliseconds) of the fixed
-// latency histogram; an implicit +Inf bucket catches the overflow.
-var latencyBucketsMS = []float64{
-	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000,
+// latencyBounds are the upper bounds of the fixed latency histogram; an
+// implicit +Inf bucket catches the overflow.
+var latencyBounds = []time.Duration{
+	50 * time.Microsecond, 100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond,
+	time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond, 10 * time.Millisecond,
+	25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond,
+	500 * time.Millisecond, time.Second,
 }
-
-// latencyBounds converts the bucket bounds to the Durations the obs
-// registry works in.
-func latencyBounds() []time.Duration {
-	out := make([]time.Duration, len(latencyBucketsMS))
-	for i, ms := range latencyBucketsMS {
-		out[i] = time.Duration(ms * float64(time.Millisecond))
-	}
-	return out
-}
-
-// HistogramBucket and HistogramSnapshot are the obs registry's JSON
-// histogram views; the aliases keep the /metrics JSON types where
-// consumers of this package have always found them. The +Inf bucket is
-// marked by the explicit "+Inf" bound (obs.BucketBound), not the old
-// ambiguous 0 sentinel.
-type (
-	HistogramBucket   = obs.HistogramBucket
-	HistogramSnapshot = obs.HistogramSnapshot
-)
 
 // endpointStats holds one route's registry handles.
 type endpointStats struct {
@@ -42,40 +24,36 @@ type endpointStats struct {
 	latency  *obs.Histogram
 }
 
-// Metrics is the server's view of the central obs registry: counters,
-// gauges, and histograms are registered once at construction and the
-// returned atomic handles are the only thing the request path touches,
-// so recording stays lock-free and zero-alloc. The same registry
-// renders the Prometheus exposition, so the JSON document and the
-// text exposition always agree.
-type Metrics struct {
+// metrics holds the server's handles into the obs registry: registered
+// once at construction, they are the only thing the request path
+// touches, so recording stays lock-free and zero-alloc. The /metrics
+// JSON document (Server.snapshot) and the Prometheus text both read
+// these handles, so the two renderings cannot disagree.
+type metrics struct {
 	start            time.Time
-	reg              *obs.Registry
 	endpoints        map[string]*endpointStats
 	predictions      *obs.Counter // configurations predicted (batch-aware)
 	panics           *obs.Counter
 	intervalRequests *obs.Counter // /v1/predict requests asking for intervals
 	observations     *obs.Counter // runtimes ingested via /v1/observe (batch-aware)
 	driftKicks       *obs.Counter // coverage-breach episodes that kicked retraining
+
+	// Pipeline outcomes: internal/pipeline increments these same
+	// pipeline_cycles_total series when it shares the registry.
+	promotions, rejections, rollbacks *obs.Counter
 }
 
 // metricEndpoints are the route labels instrumented by the server.
 var metricEndpoints = []string{"predict", "observe", "models", "loadstatus", "reload", "healthz", "metrics", "other"}
 
-// NewMetrics creates a metrics accumulator on reg; a nil reg gets a
-// private registry (the common case — cmd/serve passes a shared one so
-// pipeline metrics land in the same exposition).
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		reg = obs.NewRegistry("repro")
-	}
-	m := &Metrics{start: time.Now(), reg: reg, endpoints: make(map[string]*endpointStats, len(metricEndpoints))}
-	bounds := latencyBounds()
+// newMetrics registers the server's series on reg.
+func newMetrics(reg *obs.Registry) *metrics {
+	m := &metrics{start: time.Now(), endpoints: make(map[string]*endpointStats, len(metricEndpoints))}
 	for _, name := range metricEndpoints {
 		m.endpoints[name] = &endpointStats{
 			requests: reg.Counter("http_requests_total", "HTTP requests by endpoint", obs.L("endpoint", name)),
 			errors:   reg.Counter("http_request_errors_total", "HTTP responses with status >= 400 by endpoint", obs.L("endpoint", name)),
-			latency:  reg.Histogram("http_request_duration_seconds", "HTTP request latency by endpoint", bounds, obs.L("endpoint", name)),
+			latency:  reg.Histogram("http_request_duration_seconds", "HTTP request latency by endpoint", latencyBounds, obs.L("endpoint", name)),
 		}
 	}
 	m.predictions = reg.Counter("predictions_total", "configurations predicted, counting each batch entry")
@@ -83,22 +61,25 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.intervalRequests = reg.Counter("interval_requests_total", "predict requests asking for prediction intervals")
 	m.observations = reg.Counter("observations_total", "measured runtimes ingested via /v1/observe, counting each batch entry")
 	m.driftKicks = reg.Counter("drift_kicks_total", "coverage-breach episodes that kicked retraining")
+	m.promotions = PipelineCycles(reg, PromotionPromoted)
+	m.rejections = PipelineCycles(reg, PromotionRejected)
+	m.rollbacks = PipelineCycles(reg, PromotionRollback)
 	reg.GaugeFunc("uptime_seconds", "seconds since server start", func() float64 {
 		return time.Since(m.start).Seconds()
 	})
 	return m
 }
 
-// Registry exposes the underlying obs registry (for embedding more
-// collectors and for the Prometheus exposition).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// WritePrometheus renders the registry in Prometheus text exposition
-// format (served on GET /metrics via content negotiation).
-func (m *Metrics) WritePrometheus(w io.Writer) error { return m.reg.WritePrometheus(w) }
+// PipelineCycles returns the pipeline_cycles_total series for one
+// outcome on reg. internal/pipeline counts every decision through it,
+// and the server reads the same handles for the /metrics JSON pipeline
+// block (registration is idempotent), so each outcome has one counter.
+func PipelineCycles(reg *obs.Registry, outcome string) *obs.Counter {
+	return reg.Counter("pipeline_cycles_total", "Training cycles and rollbacks, by outcome.", obs.L("event", outcome))
+}
 
 // record accumulates one finished request.
-func (m *Metrics) record(endpoint string, status int, d time.Duration) {
+func (m *metrics) record(endpoint string, status int, d time.Duration) {
 	es, ok := m.endpoints[endpoint]
 	if !ok {
 		es = m.endpoints["other"]
@@ -110,48 +91,43 @@ func (m *Metrics) record(endpoint string, status int, d time.Duration) {
 	es.latency.Observe(d)
 }
 
-// registerCollaborators bridges collaborator-owned counters (cache,
-// registry, admission controller) into the Prometheus exposition as
-// sampled-at-scrape functions; the collaborators keep their own
-// atomics and the JSON document keeps reading them directly. Pipeline
-// outcomes are not bridged: internal/pipeline counts each one in
-// pipeline_cycles_total.
-func (m *Metrics) registerCollaborators(cache *Cache, reg *Registry, load *loadctl.Controller) {
-	r := m.reg
-	if cache != nil {
-		r.CounterFunc("cache_hits_total", "prediction cache hits", func() float64 { return float64(cache.Stats().Hits) })
-		r.CounterFunc("cache_misses_total", "prediction cache misses", func() float64 { return float64(cache.Stats().Misses) })
-		r.CounterFunc("cache_coalesced_total", "lookups coalesced into an in-flight computation", func() float64 { return float64(cache.Stats().Coalesced) })
-		r.CounterFunc("cache_evictions_total", "LRU evictions", func() float64 { return float64(cache.Stats().Evictions) })
-		r.GaugeFunc("cache_entries", "live prediction cache entries", func() float64 { return float64(cache.Stats().Size) })
+// registerSampled exposes the state that stays owned by its package as
+// series sampled at scrape time:
+//   - the registry's model count and reload counter: NewRegistry takes
+//     no obs registry (a registry exists before, and apart from, any
+//     server);
+//   - the admission controller's gauges and counters: they change
+//     together under the controller's mutex, Admitted is decremented
+//     when a queued waiter hands its granted slot back (an obs.Counter
+//     only grows), and /v1/loadstatus needs them as one consistent
+//     Snapshot.
+func registerSampled(r *obs.Registry, reg *Registry, load *loadctl.Controller) {
+	r.GaugeFunc("models", "models installed in the registry", func() float64 { return float64(reg.Len()) })
+	r.CounterFunc("model_reloads_total", "registry reloads", func() float64 { return float64(reg.Reloads()) })
+	if load == nil {
+		return
 	}
-	if reg != nil {
-		r.GaugeFunc("models", "models installed in the registry", func() float64 { return float64(reg.Len()) })
-		r.CounterFunc("model_reloads_total", "registry reloads", func() float64 { return float64(reg.Reloads()) })
-	}
-	if load != nil {
-		r.GaugeFunc("load_limit", "admission concurrency limit", func() float64 { return load.Snapshot().Limit })
-		r.GaugeFunc("load_in_flight", "requests holding an admission slot", func() float64 { return float64(load.Snapshot().InFlight) })
-		r.GaugeFunc("load_queued", "requests waiting in the admission queue", func() float64 { return float64(load.Snapshot().Queued) })
-		r.GaugeFunc("load_degraded", "1 while the server is in degraded cache-only mode", func() float64 {
-			if load.Snapshot().Degraded {
-				return 1
-			}
-			return 0
-		})
-		r.CounterFunc("load_admitted_total", "requests granted an admission slot", func() float64 { return float64(load.Snapshot().Admitted.Total()) })
-		r.CounterFunc("load_completed_total", "admitted requests completed", func() float64 { return float64(load.Snapshot().Completed) })
-		r.CounterFunc("load_shed_total", "requests shed (queue full, budget, degraded, or timeout)", func() float64 { return float64(load.Snapshot().ShedTotal()) })
-		r.CounterFunc("load_degraded_served_total", "cache-only responses served while degraded", func() float64 { return float64(load.Snapshot().DegradedServed) })
-		r.GaugeFunc("load_ewma_latency_seconds", "EWMA service-latency estimate", func() float64 { return load.Snapshot().EWMALatencyMS / 1e3 })
-	}
+	r.GaugeFunc("load_limit", "admission concurrency limit", func() float64 { return load.Snapshot().Limit })
+	r.GaugeFunc("load_in_flight", "requests holding an admission slot", func() float64 { return float64(load.Snapshot().InFlight) })
+	r.GaugeFunc("load_queued", "requests waiting in the admission queue", func() float64 { return float64(load.Snapshot().Queued) })
+	r.GaugeFunc("load_degraded", "1 while the server is in degraded cache-only mode", func() float64 {
+		if load.Snapshot().Degraded {
+			return 1
+		}
+		return 0
+	})
+	r.CounterFunc("load_admitted_total", "requests granted an admission slot", func() float64 { return float64(load.Snapshot().Admitted.Total()) })
+	r.CounterFunc("load_completed_total", "admitted requests completed", func() float64 { return float64(load.Snapshot().Completed) })
+	r.CounterFunc("load_shed_total", "requests shed (queue full, budget, degraded, or timeout)", func() float64 { return float64(load.Snapshot().ShedTotal()) })
+	r.CounterFunc("load_degraded_served_total", "cache-only responses served while degraded", func() float64 { return float64(load.Snapshot().DegradedServed) })
+	r.GaugeFunc("load_ewma_latency_seconds", "EWMA service-latency estimate", func() float64 { return load.Snapshot().EWMALatencyMS / 1e3 })
 }
 
 // EndpointSnapshot is the JSON view of one route's counters.
 type EndpointSnapshot struct {
-	Requests int64             `json:"requests"`
-	Errors   int64             `json:"errors"`
-	Latency  HistogramSnapshot `json:"latency"`
+	Requests int64                 `json:"requests"`
+	Errors   int64                 `json:"errors"`
+	Latency  obs.HistogramSnapshot `json:"latency"`
 }
 
 // ModelStatus is one model's identity line in the metrics document:
@@ -162,8 +138,9 @@ type ModelStatus struct {
 	Generation int    `json:"generation,omitempty"`
 }
 
-// PipelineSnapshot summarizes training-pipeline activity as observed
-// through the registry's promotion hook and reloads.
+// PipelineSnapshot summarizes training-pipeline activity: the
+// pipeline_cycles_total counts and the last event seen by the
+// registry's promotion hook.
 type PipelineSnapshot struct {
 	Promotions    int64            `json:"promotions"`
 	Rejections    int64            `json:"rejections"`
@@ -200,14 +177,18 @@ type Snapshot struct {
 	Endpoints        map[string]EndpointSnapshot `json:"endpoints"`
 }
 
-// Snapshot captures every counter; cache, registry, drift-monitor, and
-// admission-controller state are sampled from the collaborators so the
-// document is assembled in one place. drift and load may be nil.
-func (m *Metrics) Snapshot(cache *Cache, reg *Registry, drift *uncertainty.MonitorSet, load *loadctl.Controller) Snapshot {
-	s := Snapshot{
+// snapshot assembles the /metrics JSON document from the registry
+// handles and the registry, drift-monitor and admission state.
+func (s *Server) snapshot() Snapshot {
+	m := s.metrics
+	snap := Snapshot{
 		UptimeSeconds:    time.Since(m.start).Seconds(),
 		PredictionsTotal: m.predictions.Load(),
 		PanicsTotal:      m.panics.Load(),
+		ReloadsTotal:     s.reg.Reloads(),
+		Models:           s.reg.Len(),
+		LastReload:       s.reg.LastReload(),
+		Cache:            s.cache.Stats(),
 		Endpoints:        make(map[string]EndpointSnapshot, len(m.endpoints)),
 	}
 	for name, es := range m.endpoints {
@@ -215,44 +196,36 @@ func (m *Metrics) Snapshot(cache *Cache, reg *Registry, drift *uncertainty.Monit
 		if req == 0 {
 			continue // keep the document small; absent = zero
 		}
-		s.RequestsTotal += req
-		s.ErrorsTotal += errs
-		s.Endpoints[name] = EndpointSnapshot{Requests: req, Errors: errs, Latency: es.latency.Snapshot()}
+		snap.RequestsTotal += req
+		snap.ErrorsTotal += errs
+		snap.Endpoints[name] = EndpointSnapshot{Requests: req, Errors: errs, Latency: es.latency.Snapshot()}
 	}
-	if cache != nil {
-		s.Cache = cache.Stats()
+	for _, e := range s.reg.List() {
+		snap.ModelStatus = append(snap.ModelStatus, ModelStatus{
+			Name: e.Name, Version: e.Version, Generation: e.Generation,
+		})
 	}
-	if reg != nil {
-		s.ReloadsTotal = reg.Reloads()
-		s.Models = reg.Len()
-		s.LastReload = reg.LastReload()
-		for _, e := range reg.List() {
-			s.ModelStatus = append(s.ModelStatus, ModelStatus{
-				Name: e.Name, Version: e.Version, Generation: e.Generation,
-			})
-		}
-		promoted, rejected, rollbacks := reg.PromotionCounts()
-		if last := reg.LastPromotion(); last != nil || promoted+rejected+rollbacks > 0 {
-			s.Pipeline = &PipelineSnapshot{
-				Promotions: promoted, Rejections: rejected, Rollbacks: rollbacks,
-				LastPromotion: last,
-			}
-		}
+	p := PipelineSnapshot{
+		Promotions:    m.promotions.Load(),
+		Rejections:    m.rejections.Load(),
+		Rollbacks:     m.rollbacks.Load(),
+		LastPromotion: s.reg.LastPromotion(),
+	}
+	if p.LastPromotion != nil || p.Promotions+p.Rejections+p.Rollbacks > 0 {
+		snap.Pipeline = &p
 	}
 	u := UncertaintySnapshot{
 		IntervalRequests: m.intervalRequests.Load(),
 		Observations:     m.observations.Load(),
 		DriftKicks:       m.driftKicks.Load(),
-	}
-	if drift != nil {
-		u.Monitors = drift.Snapshot()
+		Monitors:         s.drift.Snapshot(),
 	}
 	if u.IntervalRequests+u.Observations+u.DriftKicks > 0 || len(u.Monitors) > 0 {
-		s.Uncertainty = &u
+		snap.Uncertainty = &u
 	}
-	if load != nil {
-		snap := load.Snapshot()
-		s.Load = &snap
+	if s.load != nil {
+		ls := s.load.Snapshot()
+		snap.Load = &ls
 	}
-	return s
+	return snap
 }

@@ -63,14 +63,12 @@ type Registry struct {
 	snap    atomic.Pointer[snapshot]
 	reloads atomic.Int64
 
-	// Pipeline observability: outcome of the latest Reload, the latest
-	// promotion-hook event, and lifetime counters per outcome, all
-	// exported on /metrics so a stuck pipeline is visible to operators.
+	// Pipeline observability: outcome of the latest Reload and the
+	// latest promotion-hook event, exported on /metrics so a stuck
+	// pipeline is visible to operators. Outcomes are counted in the obs
+	// registry (PipelineCycles), not here.
 	lastReload    atomic.Pointer[ReloadStatus]
 	lastPromotion atomic.Pointer[PromotionStatus]
-	promotions    atomic.Int64
-	rejections    atomic.Int64
-	rollbacks     atomic.Int64
 }
 
 // ReloadStatus is the outcome of the most recent Reload.
@@ -79,7 +77,9 @@ type ReloadStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Promotion outcomes reported through NotePromotion.
+// Promotion outcomes reported through NotePromotion and counted in
+// pipeline_cycles_total; internal/pipeline's journal event names are
+// these same constants.
 const (
 	PromotionPromoted = "promoted"
 	PromotionRejected = "rejected"
@@ -241,25 +241,10 @@ func (r *Registry) Reloads() int64 { return r.reloads.Load() }
 // first Reload.
 func (r *Registry) LastReload() *ReloadStatus { return r.lastReload.Load() }
 
-// NotePromotion records a training-pipeline event (the promotion hook
-// called by internal/pipeline) for /metrics.
-func (r *Registry) NotePromotion(st PromotionStatus) {
-	switch st.Outcome {
-	case PromotionPromoted:
-		r.promotions.Add(1)
-	case PromotionRejected:
-		r.rejections.Add(1)
-	case PromotionRollback:
-		r.rollbacks.Add(1)
-	}
-	r.lastPromotion.Store(&st)
-}
+// NotePromotion records the latest training-pipeline event (the
+// promotion hook called by internal/pipeline) for /metrics.
+func (r *Registry) NotePromotion(st PromotionStatus) { r.lastPromotion.Store(&st) }
 
 // LastPromotion returns the most recent pipeline event, or nil when the
 // promotion hook has never fired.
 func (r *Registry) LastPromotion() *PromotionStatus { return r.lastPromotion.Load() }
-
-// PromotionCounts returns lifetime pipeline-event counters.
-func (r *Registry) PromotionCounts() (promoted, rejected, rollbacks int64) {
-	return r.promotions.Load(), r.rejections.Load(), r.rollbacks.Load()
-}

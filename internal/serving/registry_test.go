@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func saveFixture(t *testing.T, dir string) string {
@@ -144,12 +146,24 @@ func TestRegistryPromotionObservability(t *testing.T) {
 	if e.Generation != 7 {
 		t.Fatalf("installed Generation = %d, want 7 from model metadata", e.Generation)
 	}
-	reg.NotePromotion(PromotionStatus{App: "smg", Generation: 7, Outcome: PromotionPromoted})
-	reg.NotePromotion(PromotionStatus{App: "smg", Generation: 8, Outcome: PromotionRejected, Detail: "worse"})
-	reg.NotePromotion(PromotionStatus{App: "smg", Generation: 7, Outcome: PromotionRollback})
-	p, r, rb := reg.PromotionCounts()
-	if p != 1 || r != 1 || rb != 1 {
-		t.Fatalf("PromotionCounts() = %d, %d, %d", p, r, rb)
+	oreg := obs.NewRegistry("repro")
+	s := New(reg, Options{Obs: oreg})
+
+	// The hook keeps only the last event; it counts nothing.
+	reg.NotePromotion(PromotionStatus{App: "smg", Generation: 6, Outcome: PromotionPromoted})
+	if snap := s.snapshot(); snap.Pipeline == nil || snap.Pipeline.Promotions != 0 || snap.Pipeline.LastPromotion == nil {
+		t.Fatalf("Pipeline snapshot after a bare hook call = %+v, want the event and no counts", snap.Pipeline)
+	}
+
+	// internal/pipeline reports a decision by counting it in
+	// pipeline_cycles_total and then calling the hook.
+	for _, st := range []PromotionStatus{
+		{App: "smg", Generation: 7, Outcome: PromotionPromoted},
+		{App: "smg", Generation: 8, Outcome: PromotionRejected, Detail: "worse"},
+		{App: "smg", Generation: 7, Outcome: PromotionRollback},
+	} {
+		PipelineCycles(oreg, st.Outcome).Inc()
+		reg.NotePromotion(st)
 	}
 	lp := reg.LastPromotion()
 	if lp == nil || lp.Outcome != PromotionRollback || lp.Generation != 7 {
@@ -157,7 +171,7 @@ func TestRegistryPromotionObservability(t *testing.T) {
 	}
 
 	// The whole story surfaces on the metrics snapshot.
-	snap := NewMetrics(nil).Snapshot(nil, reg, nil, nil)
+	snap := s.snapshot()
 	if len(snap.ModelStatus) != 1 || snap.ModelStatus[0].Generation != 7 {
 		t.Fatalf("ModelStatus = %+v, want generation 7", snap.ModelStatus)
 	}
