@@ -56,6 +56,7 @@ fuzz:
 	$(FUZZ) -fuzz '^FuzzCompiledForestPredict$$' ./internal/treec/
 	$(FUZZ) -fuzz '^FuzzReadPartition$$' ./internal/pipeline/
 	$(FUZZ) -fuzz '^FuzzOpenJournal$$' ./internal/pipeline/
+	$(FUZZ) -fuzz '^FuzzMultiTaskLasso$$' ./internal/linmod/
 
 # Reduced-size reconstruction of every table/figure plus the core
 # micro-benchmarks; see bench_test.go.

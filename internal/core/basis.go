@@ -110,12 +110,10 @@ func selectBasisLambda(phi, y *mat.Dense, cfg Config) float64 {
 	if top <= 0 {
 		top = 1e-6
 	}
+	lambdas := lambdaGrid(top, cfg.CVLambdas)
 	bestLam, bestErr := top, math.Inf(1)
 	heldout := phi.Row(k - 1)
-	for g := 0; g < cfg.CVLambdas; g++ {
-		f := float64(g) / float64(cfg.CVLambdas-1)
-		lam := top * math.Pow(1e-3, f)
-		mt := linmod.MultiTaskLasso(phiTrain, yTrain, lam, cfg.Lasso)
+	for g, mt := range linmod.MultiTaskLassoPath(phiTrain, yTrain, lambdas, cfg.Lasso) {
 		var errSum float64
 		for t := 0; t < y.Cols; t++ {
 			pred := mt.PredictTask(heldout, t)
@@ -127,10 +125,25 @@ func selectBasisLambda(phi, y *mat.Dense, cfg Config) float64 {
 			errSum += rel * rel
 		}
 		if errSum < bestErr {
-			bestErr, bestLam = errSum, lam
+			bestErr, bestLam = errSum, lambdas[g]
 		}
 	}
 	return bestLam
+}
+
+// lambdaGrid returns n log-spaced lambdas from top down to top·1e-3
+// (just top when n is 1), the grid the basis backend's lambda selection
+// walks.
+func lambdaGrid(top float64, n int) []float64 {
+	out := make([]float64, n)
+	for g := range out {
+		var f float64
+		if n > 1 {
+			f = float64(g) / float64(n-1)
+		}
+		out[g] = top * math.Pow(1e-3, f)
+	}
+	return out
 }
 
 func seq(n int) []int {
@@ -235,14 +248,12 @@ func (m *TwoLevelModel) selectSupportForCurve(shape []float64) []int {
 		if top <= 0 {
 			top = 1e-6
 		}
+		lambdas := lambdaGrid(top, m.Cfg.CVLambdas)
 		best, bestErr := top, math.Inf(1)
-		for g := 0; g < m.Cfg.CVLambdas; g++ {
-			f := float64(g) / float64(m.Cfg.CVLambdas-1)
-			lam := top * math.Pow(1e-3, f)
-			mdl := linmod.Lasso(phiTrain, shape[:k-1], lam, m.Cfg.Lasso)
+		for g, mdl := range linmod.LassoPath(phiTrain, shape[:k-1], lambdas, m.Cfg.Lasso) {
 			rel := (mdl.Predict(phi.Row(k-1)) - shape[k-1]) / shape[k-1]
 			if e := rel * rel; e < bestErr {
-				bestErr, best = e, lam
+				bestErr, best = e, lambdas[g]
 			}
 		}
 		lambda = best

@@ -123,7 +123,8 @@ type Config struct {
 
 	// Forest configures the per-scale interpolation forests.
 	Forest forest.Params
-	// Lasso configures the coordinate-descent solvers.
+	// Lasso configures the lasso solver: its iteration cap and its
+	// duality-gap tolerance (zero selects the defaults).
 	Lasso linmod.Options
 }
 
@@ -204,8 +205,10 @@ const (
 
 // check validates what every fitted model relies on. Scales: at least
 // four strictly ascending small scales >= 1, and strictly ascending
-// large scales all above them. Settings: the bounds above, and finite
-// basis exponents. Fit applies it after filling defaults, and Read to
+// large scales all above them. Settings: the bounds above, finite basis
+// exponents, and a finite non-negative lasso tolerance (the lasso stops
+// on a duality gap at most Tol, which a NaN never is, so a NaN would run
+// every basis-mode prediction's per-curve lasso to MaxIter). Fit applies it after filling defaults, and Read to
 // loaded models, where every value comes from the file.
 func (c Config) check() error {
 	if len(c.Basis) > maxBasisTerms {
@@ -224,6 +227,9 @@ func (c Config) check() error {
 	}
 	if c.Lasso.MaxIter > maxLassoIter {
 		return fmt.Errorf("core: Lasso.MaxIter %d above %d", c.Lasso.MaxIter, maxLassoIter)
+	}
+	if tol := c.Lasso.Tol; math.IsNaN(tol) || math.IsInf(tol, 0) || tol < 0 {
+		return fmt.Errorf("core: Lasso.Tol %v is not a finite non-negative number", tol)
 	}
 	if len(c.SmallScales) == 0 || len(c.LargeScales) == 0 {
 		return fmt.Errorf("core: %d small and %d large scales; need both", len(c.SmallScales), len(c.LargeScales))

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -335,6 +336,9 @@ func TestConfigValidation(t *testing.T) {
 		{Basis: []scalefit.Term{{A: 1, B: maxLogExponent + 1}}}, // log exponent too large
 		{CVLambdas: maxCVLambdas + 1},                           // selection grid too large
 		{Lasso: linmod.Options{MaxIter: maxLassoIter + 1}},      // too many sweeps
+		{Lasso: linmod.Options{Tol: math.NaN()}},                // gap never reached
+		{Lasso: linmod.Options{Tol: math.Inf(1)}},               // no gap at all
+		{Lasso: linmod.Options{Tol: -1e-9}},                     // negative gap
 	}
 	tbl := dataset.NewTable("x", []string{"a"})
 	tbl.Add(dataset.Run{Params: []float64{1}, Scale: 4, Runtime: 1})
@@ -342,6 +346,21 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Fit(rng.New(1), tbl, c); err == nil {
 			t.Fatalf("case %d: bad config accepted", i)
 		}
+	}
+}
+
+// TestConfigRejectsBadLassoTol: the lasso stops on a duality gap at
+// most Lasso.Tol, so a NaN, infinite or negative tolerance is refused
+// with an error naming it.
+func TestConfigRejectsBadLassoTol(t *testing.T) {
+	for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-9} {
+		_, err := Config{Lasso: linmod.Options{Tol: tol}}.normalize()
+		if err == nil || !strings.Contains(err.Error(), "Lasso.Tol") {
+			t.Fatalf("Tol %v: normalize = %v, want an error naming Lasso.Tol", tol, err)
+		}
+	}
+	if _, err := (Config{Lasso: linmod.Options{Tol: 1e-6}}).normalize(); err != nil {
+		t.Fatalf("Tol 1e-6 refused: %v", err)
 	}
 }
 

@@ -375,6 +375,13 @@ func (m *TwoLevelModel) validateLoaded() error {
 					return fmt.Errorf("core: anchored cluster %d has %d intercepts for %d tasks",
 						i, len(cm.Multi.Intercept), cm.Multi.Tasks)
 				}
+				if g := cm.Multi.Gap; math.IsNaN(g) || math.IsInf(g, 0) || g < 0 {
+					return fmt.Errorf("core: anchored cluster %d lasso gap %v is not a finite non-negative number", i, g)
+				}
+				if cm.Multi.Iterations < 0 || cm.Multi.Sweeps < 0 {
+					return fmt.Errorf("core: anchored cluster %d lasso iterations %d, sweeps %d; both must be non-negative",
+						i, cm.Multi.Iterations, cm.Multi.Sweeps)
+				}
 			}
 			if cm.Single != nil && len(cm.Single) != len(m.Cfg.LargeScales) {
 				return fmt.Errorf("core: anchored cluster %d has %d single-task models for %d large scales",

@@ -123,6 +123,29 @@ func TestMetaRoundtrip(t *testing.T) {
 	}
 }
 
+// TestLassoConvergenceRoundtrip asserts each cluster's lasso
+// certificate (the relative duality gap reached, the iterations at the
+// chosen lambda, and the whole fit's sweeps) survives write/read, and
+// that the fit certified every cluster within MaxIter.
+func TestLassoConvergenceRoundtrip(t *testing.T) {
+	m, _ := fitClustered(t)
+	loaded := reread(t, rewrite(t, m))
+	opt := m.Cfg.Lasso
+	if opt.Tol == 0 {
+		opt.Tol = 1e-9
+	}
+	for c, cm := range m.ClusterModels {
+		want, got := cm.Multi, loaded.ClusterModels[c].Multi
+		if want.Sweeps < want.Iterations || want.Iterations == 0 || want.Gap > opt.Tol {
+			t.Fatalf("cluster %d: gap %g after %d iterations (%d sweeps in all)", c, want.Gap, want.Iterations, want.Sweeps)
+		}
+		if got.Gap != want.Gap || got.Iterations != want.Iterations || got.Sweeps != want.Sweeps {
+			t.Fatalf("cluster %d: read gap %g, iterations %d, sweeps %d; wrote %g, %d, %d",
+				c, got.Gap, got.Iterations, got.Sweeps, want.Gap, want.Iterations, want.Sweeps)
+		}
+	}
+}
+
 func TestSaveIntoMissingDirFails(t *testing.T) {
 	m, _ := fitTiny(t)
 	if err := m.Save(filepath.Join(t.TempDir(), "nope", "model.json")); err == nil {
@@ -356,6 +379,10 @@ func TestReadRejectsMalformedShapes(t *testing.T) {
 		}},
 		{"cv lambdas", "CVLambdas 1000000 above", func(m *TwoLevelModel) { m.Cfg.CVLambdas = 1e6 }},
 		{"lasso max iter", "Lasso.MaxIter 1000000000 above", func(m *TwoLevelModel) { m.Cfg.Lasso.MaxIter = 1e9 }},
+		{"lasso tol", "Lasso.Tol -1e-09 is not", func(m *TwoLevelModel) { m.Cfg.Lasso.Tol = -1e-9 }},
+		{"lasso gap", "cluster 1 lasso gap -0.5 is not", func(m *TwoLevelModel) { m.ClusterModels[1].Multi.Gap = -0.5 }},
+		{"lasso sweeps", "cluster 1 lasso iterations", func(m *TwoLevelModel) { m.ClusterModels[1].Multi.Sweeps = -1 }},
+		{"lasso iterations", "cluster 1 lasso iterations -1", func(m *TwoLevelModel) { m.ClusterModels[1].Multi.Iterations = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -384,8 +411,10 @@ var fuzzParams = []float64{240, 160, 96, 28}
 // (testdata/fuzz/FuzzRead) holds format-v2 files: a small anchored file
 // with centroids and a calibration, a basis file, damaged matrices of
 // the anchored file, basis files with damaged scale lists or basis
-// settings that once panicked at the first prediction, and damaged
-// section frames and forest tables (v2-*), plus a format-v1 file;
+// settings that once panicked at the first prediction, a basis file
+// with a negative lasso tolerance and an anchored one with a negative
+// lasso gap, and damaged section frames and forest tables (v2-*), plus
+// a format-v1 file;
 // `go test` replays it and `go test -fuzz` digs.
 func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -419,7 +448,9 @@ func FuzzRead(f *testing.F) {
 func TestFuzzReadSeedsNamedErrors(t *testing.T) {
 	want := map[string]string{
 		"anchored":                             "",
+		"anchored-negative-lasso-gap":          "cluster 0 lasso gap -0.5 is not",
 		"basis":                                "",
+		"basis-negative-lasso-tol":             "Lasso.Tol -1e-09 is not",
 		"basis-huge-log-exponent":              "log exponent 1073741824 outside",
 		"basis-large-scale-below-small":        "not below smallest large scale 0",
 		"basis-no-small-scales":                "0 small and 3 large scales",

@@ -37,7 +37,9 @@ func gather(y []float64, idx []int) []float64 {
 
 // CVLasso selects the lasso lambda by k-fold cross-validation over a
 // log-spaced grid of nLambdas values below LambdaMax, then refits on the
-// full data at the winner. It returns the model and the chosen lambda.
+// full data at the winner. Each fold walks the grid from the top with
+// warm starts, and so does the refit, down to the winner. It returns the
+// model and the chosen lambda.
 func CVLasso(r *rng.Source, x *mat.Dense, y []float64, k, nLambdas int, opt Options) (*Model, float64) {
 	if k < 2 || k > x.Rows {
 		panic("linmod: CVLasso bad fold count")
@@ -48,28 +50,26 @@ func CVLasso(r *rng.Source, x *mat.Dense, y []float64, k, nLambdas int, opt Opti
 	}
 	lambdas := logGrid(lmax, 1e-3, nLambdas)
 	folds := cvSplit(r, x.Rows, k)
-	bestLam, bestErr := lambdas[0], math.Inf(1)
-	for _, lam := range lambdas {
-		var sse float64
-		var cnt int
-		for f := range folds {
-			trIdx, teIdx := antiFold(folds, f, x.Rows)
-			m := Lasso(gatherRows(x, trIdx), gather(y, trIdx), lam, opt)
+	sse := make([]float64, len(lambdas))
+	var cnt int
+	for f := range folds {
+		trIdx, teIdx := antiFold(folds, f, x.Rows)
+		for li, m := range LassoPath(gatherRows(x, trIdx), gather(y, trIdx), lambdas, opt) {
 			for _, i := range teIdx {
 				d := m.Predict(x.Row(i)) - y[i]
-				sse += d * d
-				cnt++
+				sse[li] += d * d
 			}
 		}
-		if err := sse / float64(cnt); err < bestErr {
-			bestErr, bestLam = err, lam
-		}
+		cnt += len(teIdx)
 	}
-	return Lasso(x, y, bestLam, opt), bestLam
+	best := bestLambda(sse, cnt)
+	return LassoPath(x, y, lambdas[:best+1], opt)[best], lambdas[best]
 }
 
 // CVMultiTaskLasso selects the multitask-lasso lambda by k-fold CV
 // (summed squared error over all tasks), then refits on the full data.
+// Each fold walks the grid from the top with warm starts, and so does
+// the refit, down to the winner; the model's Sweeps counts all of it.
 func CVMultiTaskLasso(r *rng.Source, x, y *mat.Dense, k, nLambdas int, opt Options) (*MultiTaskModel, float64) {
 	if k < 2 || k > x.Rows {
 		panic("linmod: CVMultiTaskLasso bad fold count")
@@ -80,27 +80,39 @@ func CVMultiTaskLasso(r *rng.Source, x, y *mat.Dense, k, nLambdas int, opt Optio
 	}
 	lambdas := logGrid(lmax, 1e-3, nLambdas)
 	folds := cvSplit(r, x.Rows, k)
-	bestLam, bestErr := lambdas[0], math.Inf(1)
-	for _, lam := range lambdas {
-		var sse float64
-		var cnt int
-		for f := range folds {
-			trIdx, teIdx := antiFold(folds, f, x.Rows)
-			m := MultiTaskLasso(gatherRows(x, trIdx), gatherRows(y, trIdx), lam, opt)
+	sse := make([]float64, len(lambdas))
+	var cnt, sweeps int
+	for f := range folds {
+		trIdx, teIdx := antiFold(folds, f, x.Rows)
+		path := MultiTaskLassoPath(gatherRows(x, trIdx), gatherRows(y, trIdx), lambdas, opt)
+		for li, m := range path {
 			for _, i := range teIdx {
 				pred := m.Predict(x.Row(i))
 				for t := 0; t < y.Cols; t++ {
 					d := pred[t] - y.At(i, t)
-					sse += d * d
-					cnt++
+					sse[li] += d * d
 				}
 			}
 		}
-		if err := sse / float64(cnt); err < bestErr {
-			bestErr, bestLam = err, lam
+		sweeps += path[len(path)-1].Sweeps
+		cnt += len(teIdx) * y.Cols
+	}
+	best := bestLambda(sse, cnt)
+	m := MultiTaskLassoPath(x, y, lambdas[:best+1], opt)[best]
+	m.Sweeps += sweeps
+	return m, lambdas[best]
+}
+
+// bestLambda returns the grid index with the lowest mean squared error,
+// the first on a tie.
+func bestLambda(sse []float64, cnt int) int {
+	best, bestErr := 0, math.Inf(1)
+	for li, s := range sse {
+		if err := s / float64(cnt); err < bestErr {
+			best, bestErr = li, err
 		}
 	}
-	return MultiTaskLasso(x, y, bestLam, opt), bestLam
+	return best
 }
 
 // logGrid returns n log-spaced values from top down to top*ratio.

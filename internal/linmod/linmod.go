@@ -1,10 +1,17 @@
 // Package linmod implements the linear models used at the paper's
 // extrapolation level and as baselines: ordinary least squares, ridge,
-// lasso and elastic net by cyclic coordinate descent, and — the core of
-// the extrapolation level — the multitask lasso, solved by block
-// coordinate descent on the L2,1-penalized squared loss so that all tasks
-// (large target scales) share one sparsity pattern over the features
-// (small-scale performance predictions).
+// lasso and elastic net, and — the core of the extrapolation level — the
+// multitask lasso, whose L2,1 penalty makes all tasks (large target
+// scales) share one sparsity pattern over the features (small-scale
+// performance predictions).
+//
+// Every penalized fit runs one solver (path.go): the problem is
+// standardized once and reduced to its Gram form (XᵀX, XᵀY, ‖Y‖²), a
+// lambda path is walked from the top down with warm starts, and each
+// lambda stops on a duality gap, so a returned model carries a
+// certificate of how close it is to the optimum. Block coordinate sweeps
+// find the active features and Newton steps on them finish the solve;
+// the single-task lasso is the one-task case.
 //
 // All solvers operate on standardized copies of the data internally and
 // fold the centering back into an explicit intercept, so callers pass raw
@@ -45,18 +52,24 @@ func (m *Model) PredictBatch(x *mat.Dense, dst []float64) []float64 {
 	return dst
 }
 
-// Options configures the iterative solvers.
+// Options configures the iterative solver.
 type Options struct {
-	MaxIter int     // maximum coordinate-descent sweeps (default 1000)
-	Tol     float64 // convergence threshold on max coefficient change (default 1e-6)
+	// MaxIter caps the solver iterations at one lambda: coordinate
+	// sweeps plus Newton steps (default 1000).
+	MaxIter int
+	// Tol is the convergence threshold: the duality gap of the
+	// n-scaled objective relative to ‖Y‖² (centered targets), so a
+	// solution's objective is within Tol·‖Y‖²/n of the optimum
+	// (default 1e-9). A value that is not positive selects the default.
+	Tol float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 1000
 	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-6
+	if !(o.Tol > 0) {
+		o.Tol = 1e-9
 	}
 	return o
 }
@@ -185,97 +198,63 @@ func Ridge(x *mat.Dense, y []float64, lambda float64) *Model {
 	return s.unstandardize(beta)
 }
 
-// softThreshold is the scalar proximal operator of the L1 norm.
-func softThreshold(z, gamma float64) float64 {
-	switch {
-	case z > gamma:
-		return z - gamma
-	case z < -gamma:
-		return z + gamma
-	default:
-		return 0
-	}
-}
-
-// Lasso fits an L1-penalized model by cyclic coordinate descent minimizing
+// Lasso fits an L1-penalized model minimizing
 //
 //	(1/2n)·||y - X·beta||² + lambda·||beta||₁
 //
 // on standardized data (the scikit-learn objective, so lambdas transfer).
 func Lasso(x *mat.Dense, y []float64, lambda float64, opt Options) *Model {
-	return ElasticNet(x, y, lambda, 1.0, opt)
+	return LassoPath(x, y, []float64{lambda}, opt)[0]
+}
+
+// LassoPath fits the lasso at each lambda in turn, each fit
+// warm-started from the one before (a descending grid makes that
+// cheap), and returns one model per lambda.
+func LassoPath(x *mat.Dense, y []float64, lambdas []float64, opt Options) []*Model {
+	checkLambdas(lambdas)
+	pr := newProblem(x, column(y))
+	pr.dropDuplicates()
+	return singleTaskPath(pr, lambdas, opt)
 }
 
 // ElasticNet fits (1/2n)||y-Xb||² + lambda·(alpha·||b||₁ + (1-alpha)/2·||b||²).
 // alpha = 1 is the lasso; alpha = 0 is ridge (prefer Ridge for that, it is
-// closed-form).
+// closed-form). The L2 term is the lasso on the augmented design
+// [X; √(lambda·(1-alpha)·n)·I], whose Gram matrix is G plus that ridge
+// on its diagonal.
 func ElasticNet(x *mat.Dense, y []float64, lambda, alpha float64, opt Options) *Model {
-	if lambda < 0 || alpha < 0 || alpha > 1 {
+	if !(lambda >= 0) || !(alpha >= 0) || alpha > 1 {
 		panic(fmt.Sprintf("linmod: bad elastic-net lambda=%v alpha=%v", lambda, alpha))
 	}
-	opt = opt.withDefaults()
-	s := standardize(x, y)
-	n := float64(x.Rows)
-	p := x.Cols
-
-	beta := make([]float64, p)
-	resid := append([]float64(nil), s.y...) // residual = y - X·beta (beta = 0)
-
-	l1 := lambda * alpha * n
-	l2 := lambda * (1 - alpha) * n
-
-	iters := 0
-	for it := 0; it < opt.MaxIter; it++ {
-		iters = it + 1
-		var maxDelta float64
-		for j := 0; j < p; j++ {
-			cn := s.colNorm[j]
-			if cn == 0 {
-				continue
-			}
-			old := beta[j]
-			// partial residual correlation: xⱼᵀ(resid + xⱼ·betaⱼ)
-			var rho float64
-			for i := 0; i < x.Rows; i++ {
-				rho += s.x.At(i, j) * resid[i]
-			}
-			rho += cn * old
-			newb := softThreshold(rho, l1) / (cn + l2)
-			//lint:allow floateq -- no-op update skip: both values come from the identical computation
-			if newb != old {
-				d := newb - old
-				for i := 0; i < x.Rows; i++ {
-					resid[i] -= d * s.x.At(i, j)
-				}
-				beta[j] = newb
-				if ad := math.Abs(d); ad > maxDelta {
-					maxDelta = ad
-				}
-			}
-		}
-		if maxDelta < opt.Tol {
-			break
-		}
+	pr := newProblem(x, column(y))
+	ridge := lambda * (1 - alpha) * float64(pr.n)
+	if ridge == 0 {
+		pr.dropDuplicates()
 	}
-	m := s.unstandardize(beta)
-	m.Iterations = iters
-	return m
+	for j := 0; j < pr.p; j++ {
+		pr.g[j*pr.p+j] += ridge
+	}
+	return singleTaskPath(pr, []float64{lambda * alpha}, opt)[0]
+}
+
+func singleTaskPath(pr *problem, lambdas []float64, opt Options) []*Model {
+	s := newSolver(pr, opt)
+	out := make([]*Model, len(lambdas))
+	for i, lam := range lambdas {
+		iters, _ := s.solve(lam)
+		coef, inter := s.coefficients()
+		out[i] = &Model{Coef: coef.Data, Intercept: inter[0], Iterations: iters}
+	}
+	return out
+}
+
+// column returns y as an n×1 matrix.
+func column(y []float64) *mat.Dense {
+	return &mat.Dense{Rows: len(y), Cols: 1, Data: append([]float64(nil), y...)}
 }
 
 // LambdaMax returns the smallest lambda for which the lasso solution is
 // entirely zero — the top of a regularization path.
 func LambdaMax(x *mat.Dense, y []float64) float64 {
-	s := standardize(x, y)
-	n := float64(x.Rows)
-	var best float64
-	for j := 0; j < x.Cols; j++ {
-		var rho float64
-		for i := 0; i < x.Rows; i++ {
-			rho += s.x.At(i, j) * s.y[i]
-		}
-		if a := math.Abs(rho) / n; a > best {
-			best = a
-		}
-	}
-	return best
+	return newProblem(x, column(y)).lambdaMax()
 }

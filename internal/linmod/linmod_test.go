@@ -289,3 +289,35 @@ func BenchmarkLasso200x20(b *testing.B) {
 		Lasso(x, y, 0.05, Options{})
 	}
 }
+
+// TestLassoPathWarmStartNoWorseThanCold: CVLasso walks each fold's grid
+// with warm starts (LassoPath). At every lambda of such a path, on
+// collinear log-runtime features, the warm-started model's objective is
+// no higher than a cold-start fit's at that lambda, from either this
+// solver (Lasso) or the coordinate-descent oracle, up to the gap the
+// solver certifies.
+func TestLassoPathWarmStartNoWorseThanCold(t *testing.T) {
+	opt := Options{}.withDefaults()
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		x, ys := scalingData(r, 15+r.Intn(50), 0.05)
+		y := ys.Col(int(seed) % ys.Cols)
+		lambdas := logGrid(LambdaMax(x, y), 1e-3, 12)
+		slack := opt.Tol * centeredSS(column(y)) / float64(x.Rows)
+		for i, m := range LassoPath(x, y, lambdas, Options{}) {
+			lam := lambdas[i]
+			warm := lassoObjective(x, y, m, lam)
+			for _, cold := range []struct {
+				name string
+				m    *Model
+			}{
+				{"Lasso", Lasso(x, y, lam, Options{})},
+				{"oracle", oracleLasso(x, y, lam, Options{})},
+			} {
+				if c := lassoObjective(x, y, cold.m, lam); warm > c+slack+1e-12*math.Abs(c) {
+					t.Fatalf("seed %d lambda %d: warm-started objective %.15g above the cold %s fit's %.15g", seed, i, warm, cold.name, c)
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package linmod
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mat"
 )
@@ -14,10 +13,18 @@ import (
 // sparsity pattern selects the same informative small scales for every
 // target scale.
 type MultiTaskModel struct {
-	Coef       *mat.Dense `json:"coef"`      // p × T
-	Intercept  []float64  `json:"intercept"` // length T
-	Tasks      int        `json:"tasks"`
-	Iterations int        `json:"iterations,omitempty"`
+	Coef      *mat.Dense `json:"coef"`      // p × T
+	Intercept []float64  `json:"intercept"` // length T
+	Tasks     int        `json:"tasks"`
+	// Iterations is what the solver spent at this model's lambda (one
+	// per coordinate sweep or Newton step), and Gap the duality gap it
+	// reached there, relative to ‖Y‖²: at most Options.Tol unless the
+	// solve stopped at MaxIter. Sweeps counts the iterations of the
+	// whole fit: the path down to this lambda and, for a
+	// cross-validated fit, every fold's path.
+	Iterations int     `json:"iterations,omitempty"`
+	Gap        float64 `json:"gap,omitempty"`
+	Sweeps     int     `json:"sweeps,omitempty"`
 }
 
 // Predict evaluates all task outputs for a feature vector.
@@ -76,210 +83,37 @@ func (m *MultiTaskModel) ActiveFeatures() []int {
 //	min over B:  (1/2n)·||Y - X·B||_F² + lambda·Σ_j ||B_j||₂
 //
 // where B_j is the j-th row of the p×T coefficient matrix — the standard
-// L2,1 ("group by feature across tasks") multitask lasso — by block
-// coordinate descent with the group soft-thresholding proximal step.
-// X is standardized and Y is centered per task internally.
+// L2,1 ("group by feature across tasks") multitask lasso. X is
+// standardized and Y is centered per task internally. It is the path of
+// MultiTaskLassoPath with one lambda.
 func MultiTaskLasso(x, y *mat.Dense, lambda float64, opt Options) *MultiTaskModel {
-	if x.Rows != y.Rows {
-		panic(fmt.Sprintf("linmod: multitask %d rows vs %d targets", x.Rows, y.Rows))
-	}
-	if x.Rows == 0 {
-		panic("linmod: multitask fit on empty dataset")
-	}
-	if lambda < 0 {
-		panic("linmod: negative multitask lambda")
-	}
-	opt = opt.withDefaults()
-	n, p, tasks := x.Rows, x.Cols, y.Cols
+	return MultiTaskLassoPath(x, y, []float64{lambda}, opt)[0]
+}
 
-	// standardize X
-	xs := x.Clone()
-	xMean := make([]float64, p)
-	xScale := make([]float64, p)
-	colNorm := make([]float64, p)
-	for j := 0; j < p; j++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += xs.At(i, j)
-		}
-		mu := sum / float64(n)
-		var ss float64
-		for i := 0; i < n; i++ {
-			d := xs.At(i, j) - mu
-			ss += d * d
-		}
-		sd := math.Sqrt(ss / float64(n))
-		if sd == 0 {
-			sd = 1
-		}
-		xMean[j], xScale[j] = mu, sd
-		var cn float64
-		for i := 0; i < n; i++ {
-			v := (xs.At(i, j) - mu) / sd
-			xs.Set(i, j, v)
-			cn += v * v
-		}
-		colNorm[j] = cn
+// MultiTaskLassoPath fits the multitask lasso at each lambda in turn,
+// each fit warm-started from the one before, and returns one model per
+// lambda. A descending grid makes every warm start close to its
+// solution. The standardization and the Gram matrices are computed once
+// for the whole path.
+func MultiTaskLassoPath(x, y *mat.Dense, lambdas []float64, opt Options) []*MultiTaskModel {
+	checkLambdas(lambdas)
+	pr := newProblem(x, y)
+	pr.dropDuplicates()
+	s := newSolver(pr, opt)
+	out := make([]*MultiTaskModel, len(lambdas))
+	var total int
+	for i, lam := range lambdas {
+		iters, gap := s.solve(lam)
+		total += iters
+		coef, inter := s.coefficients()
+		out[i] = &MultiTaskModel{Coef: coef, Intercept: inter, Tasks: s.tasks,
+			Iterations: iters, Gap: gap, Sweeps: total}
 	}
-	// center Y per task
-	ys := y.Clone()
-	yMean := make([]float64, tasks)
-	for t := 0; t < tasks; t++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += ys.At(i, t)
-		}
-		mu := sum / float64(n)
-		yMean[t] = mu
-		for i := 0; i < n; i++ {
-			ys.Set(i, t, ys.At(i, t)-mu)
-		}
-	}
-
-	beta := mat.NewDense(p, tasks)
-	resid := ys.Clone() // residual matrix R = Y - X·B, starts at Y (B = 0)
-	lam := lambda * float64(n)
-
-	rho := make([]float64, tasks)
-	iters := 0
-	for it := 0; it < opt.MaxIter; it++ {
-		iters = it + 1
-		var maxDelta float64
-		for j := 0; j < p; j++ {
-			cn := colNorm[j]
-			if cn == 0 {
-				continue
-			}
-			brow := beta.Row(j)
-			// rho_t = X_jᵀ R_t + cn·beta_{j,t}
-			for t := range rho {
-				rho[t] = cn * brow[t]
-			}
-			for i := 0; i < n; i++ {
-				xij := xs.At(i, j)
-				if xij == 0 {
-					continue
-				}
-				rrow := resid.Row(i)
-				for t := range rho {
-					rho[t] += xij * rrow[t]
-				}
-			}
-			// group soft threshold: B_j = max(0, 1 - lam/||rho||) · rho / cn
-			nrm := mat.Norm2(rho)
-			var scale float64
-			if nrm > lam {
-				scale = (1 - lam/nrm) / cn
-			}
-			var rowDelta float64
-			for t := 0; t < tasks; t++ {
-				newb := scale * rho[t]
-				d := newb - brow[t]
-				if d != 0 {
-					if ad := math.Abs(d); ad > rowDelta {
-						rowDelta = ad
-					}
-					for i := 0; i < n; i++ {
-						xij := xs.At(i, j)
-						if xij != 0 {
-							resid.Set(i, t, resid.At(i, t)-d*xij)
-						}
-					}
-					brow[t] = newb
-				}
-			}
-			if rowDelta > maxDelta {
-				maxDelta = rowDelta
-			}
-		}
-		if maxDelta < opt.Tol {
-			break
-		}
-	}
-
-	// map back to raw units
-	coef := mat.NewDense(p, tasks)
-	inter := append([]float64(nil), yMean...)
-	for j := 0; j < p; j++ {
-		for t := 0; t < tasks; t++ {
-			c := beta.At(j, t) / xScale[j]
-			coef.Set(j, t, c)
-			inter[t] -= c * xMean[j]
-		}
-	}
-	return &MultiTaskModel{Coef: coef, Intercept: inter, Tasks: tasks, Iterations: iters}
+	return out
 }
 
 // MultiTaskLambdaMax returns the smallest lambda at which the multitask
 // lasso coefficient matrix is entirely zero.
 func MultiTaskLambdaMax(x, y *mat.Dense) float64 {
-	if x.Rows != y.Rows {
-		panic("linmod: MultiTaskLambdaMax shape mismatch")
-	}
-	n, p, tasks := x.Rows, x.Cols, y.Cols
-	// standardize X, center Y (means only needed)
-	xMean := make([]float64, p)
-	xScale := make([]float64, p)
-	for j := 0; j < p; j++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += x.At(i, j)
-		}
-		mu := sum / float64(n)
-		var ss float64
-		for i := 0; i < n; i++ {
-			d := x.At(i, j) - mu
-			ss += d * d
-		}
-		sd := math.Sqrt(ss / float64(n))
-		if sd == 0 {
-			sd = 1
-		}
-		xMean[j], xScale[j] = mu, sd
-	}
-	yMean := make([]float64, tasks)
-	for t := 0; t < tasks; t++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += y.At(i, t)
-		}
-		yMean[t] = sum / float64(n)
-	}
-	var best float64
-	rho := make([]float64, tasks)
-	for j := 0; j < p; j++ {
-		for t := range rho {
-			rho[t] = 0
-		}
-		for i := 0; i < n; i++ {
-			xij := (x.At(i, j) - xMean[j]) / xScale[j]
-			for t := 0; t < tasks; t++ {
-				rho[t] += xij * (y.At(i, t) - yMean[t])
-			}
-		}
-		if v := mat.Norm2(rho) / float64(n); v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// mtObjective computes the multitask lasso objective for testing and
-// CV-based model selection: (1/2n)||Y-XB-1·cᵀ||_F² + lambda Σ_j ||B_j||₂.
-func mtObjective(x, y *mat.Dense, m *MultiTaskModel, lambda float64) float64 {
-	n := x.Rows
-	var loss float64
-	for i := 0; i < n; i++ {
-		pred := m.Predict(x.Row(i))
-		for t := 0; t < y.Cols; t++ {
-			d := y.At(i, t) - pred[t]
-			loss += d * d
-		}
-	}
-	loss /= 2 * float64(n)
-	var pen float64
-	for j := 0; j < m.Coef.Rows; j++ {
-		pen += mat.Norm2(m.Coef.Row(j))
-	}
-	return loss + lambda*pen
+	return newProblem(x, y).lambdaMax()
 }

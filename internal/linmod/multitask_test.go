@@ -268,3 +268,91 @@ func BenchmarkMultiTaskLasso(b *testing.B) {
 		MultiTaskLasso(x, y, 0.05, Options{})
 	}
 }
+
+// scalingData mimics one cluster of the extrapolation level: n
+// configurations whose features are log runtimes at the six small scales
+// 2..64 and whose targets are log runtimes at the four large scales
+// 128..1024, all drawn from one Amdahl-plus-communication curve family
+// with per-configuration coefficients and multiplicative noise. The
+// features are collinear the way real log-runtime curves are.
+func scalingData(r *rng.Source, n int, noise float64) (*mat.Dense, *mat.Dense) {
+	small := []float64{2, 4, 8, 16, 32, 64}
+	large := []float64{128, 256, 512, 1024}
+	x := mat.NewDense(n, len(small))
+	y := mat.NewDense(n, len(large))
+	for i := 0; i < n; i++ {
+		serial := math.Exp(r.Normal(0, 1))
+		work := math.Exp(r.Normal(3, 1))
+		comm := math.Exp(r.Normal(-3, 1))
+		curve := func(p float64) float64 {
+			return math.Log((serial + work/p + comm*math.Log2(p)) * math.Exp(noise*r.Norm()))
+		}
+		for j, p := range small {
+			x.Set(i, j, curve(p))
+		}
+		for t, p := range large {
+			y.Set(i, t, curve(p))
+		}
+	}
+	return x, y
+}
+
+// TestMultiTaskObjectiveNoHigherThanOracle: on collinear log-runtime
+// problems, at every lambda of a CV grid, the path solver's objective is
+// no higher than the cold-start coordinate-descent oracle's (up to the
+// gap it certifies), and it certifies that gap inside MaxIter.
+func TestMultiTaskObjectiveNoHigherThanOracle(t *testing.T) {
+	opt := Options{}.withDefaults()
+	maxIters := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		x, y := scalingData(r, 12+r.Intn(60), 0.02+0.1*r.Float64())
+		lambdas := logGrid(MultiTaskLambdaMax(x, y), 1e-3, 12)
+		path := MultiTaskLassoPath(x, y, lambdas, Options{})
+		yy := centeredSS(y)
+		for i, lam := range lambdas {
+			m := path[i]
+			if m.Gap > opt.Tol || m.Iterations > opt.MaxIter {
+				t.Fatalf("seed %d lambda %d: gap %g after %d iterations", seed, i, m.Gap, m.Iterations)
+			}
+			if m.Iterations > maxIters {
+				maxIters = m.Iterations
+			}
+			got := mtObjective(x, y, m, lam)
+			want := mtObjective(x, y, oracleMultiTaskLasso(x, y, lam, Options{}), lam)
+			if slack := opt.Tol*yy/float64(x.Rows) + 1e-12*math.Abs(want); got > want+slack {
+				t.Fatalf("seed %d lambda %d (%g): objective %.15g above the oracle's %.15g", seed, i, lam, got, want)
+			}
+		}
+	}
+	t.Logf("longest solve: %d iterations", maxIters)
+}
+
+// centeredSS is ‖Y − Ȳ‖²_F, the scale of the solver's relative gap.
+func centeredSS(y *mat.Dense) float64 {
+	var ss float64
+	for t := 0; t < y.Cols; t++ {
+		col := y.Col(t)
+		var mu float64
+		for _, v := range col {
+			mu += v
+		}
+		mu /= float64(len(col))
+		for _, v := range col {
+			ss += (v - mu) * (v - mu)
+		}
+	}
+	return ss
+}
+
+// BenchmarkCVMultiTaskLasso runs one cluster's cross-validated fit at the
+// benchmark's shape: ~40 anchor rows of six collinear log-runtime
+// features, four target scales, 4 folds and 12 lambdas.
+func BenchmarkCVMultiTaskLasso(b *testing.B) {
+	x, y := scalingData(rng.New(1), 40, 0.05)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CVMultiTaskLasso(rng.New(2), x, y, 4, 12, Options{})
+	}
+}

@@ -14,21 +14,6 @@ func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level}))
 }
 
-// NewTestLogger returns a JSON logger with the timestamp attribute
-// stripped, so test assertions on captured log output are
-// deterministic byte-for-byte.
-func NewTestLogger(w io.Writer) *slog.Logger {
-	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{
-		Level: slog.LevelDebug,
-		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
-			if len(groups) == 0 && a.Key == slog.TimeKey {
-				return slog.Attr{}
-			}
-			return a
-		},
-	}))
-}
-
 // ParseLevel maps a -log-level flag value to a slog.Level, defaulting
 // to Info for unknown strings.
 func ParseLevel(s string) slog.Level {

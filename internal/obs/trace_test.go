@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -178,12 +180,27 @@ func TestIDGen(t *testing.T) {
 	}
 }
 
-// TestLoggers: NewTestLogger output must be deterministic (no
+// newTestLogger returns a JSON logger with the timestamp attribute
+// stripped, so test assertions on captured log output are
+// deterministic byte-for-byte.
+func newTestLogger(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{
+		Level: slog.LevelDebug,
+		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+			if len(groups) == 0 && a.Key == slog.TimeKey {
+				return slog.Attr{}
+			}
+			return a
+		},
+	}))
+}
+
+// TestLoggers: newTestLogger output must be deterministic (no
 // timestamp), NewLogger must emit leveled JSON.
 func TestLoggers(t *testing.T) {
 	var a, b strings.Builder
-	NewTestLogger(&a).Info("promoted", "gen", 3, "model", "smg2000")
-	NewTestLogger(&b).Info("promoted", "gen", 3, "model", "smg2000")
+	newTestLogger(&a).Info("promoted", "gen", 3, "model", "smg2000")
+	newTestLogger(&b).Info("promoted", "gen", 3, "model", "smg2000")
 	if a.String() != b.String() {
 		t.Fatalf("test logger not deterministic:\n%s\n%s", a.String(), b.String())
 	}
