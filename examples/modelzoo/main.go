@@ -58,9 +58,10 @@ func main() {
 	models["gbrt"] = gbrt.Fit(x, ly, gbrt.Defaults(), rng.New(2))
 	models["knn-5"] = knn.New(x, ly, 5, true)
 	lx := logCols(x)
-	lassoModel, lam := linmod.CVLasso(rng.New(3), lx, ly, 5, 12, linmod.Options{})
+	lyCol := &mat.Dense{Rows: len(ly), Cols: 1, Data: ly}
+	lassoModel, lam := linmod.CVMultiTaskLasso(rng.New(3), lx, lyCol, 5, 12, linmod.Options{})
 	models["lasso-loglog"] = logFeatures{lassoModel}
-	ridge := linmod.Ridge(lx, ly, 0.01)
+	ridge := linmod.Ridge(lx, lyCol, 0.01)
 	models["ridge-loglog"] = logFeatures{ridge}
 
 	fmt.Printf("kripke, %d training configs at scales %v (lasso lambda %.4g)\n\n", len(configs), small, lam)
@@ -75,8 +76,8 @@ func main() {
 	fmt.Println("the two-level model's extrapolation level builds on")
 }
 
-// logFeatures adapts a linear model fitted on log-features.
-type logFeatures struct{ m *linmod.Model }
+// logFeatures adapts a one-task linear model fitted on log-features.
+type logFeatures struct{ m *linmod.MultiTaskModel }
 
 func (l logFeatures) Predict(v []float64) float64 {
 	lv := make([]float64, len(v))
@@ -86,7 +87,7 @@ func (l logFeatures) Predict(v []float64) float64 {
 		}
 		lv[i] = math.Log(x)
 	}
-	return l.m.Predict(lv)
+	return l.m.PredictTask(lv, 0)
 }
 
 func evalOn(m regressor, test *dataset.Table) float64 {

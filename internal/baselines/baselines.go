@@ -36,8 +36,9 @@ func withScale(params []float64, scale int) []float64 {
 	return append(append(make([]float64, 0, len(params)+1), params...), float64(scale))
 }
 
-// logRow maps a positive vector to logs, clamping non-positive entries.
-func logRow(v []float64) []float64 {
+// logVec maps a positive vector (features or targets) to logs, clamping
+// non-positive entries.
+func logVec(v []float64) []float64 {
 	out := make([]float64, len(v))
 	for i, x := range v {
 		if x <= 0 {
@@ -134,7 +135,7 @@ func (d *DirectKNN) PredictAt(params []float64, scale int) float64 {
 // log-runtime targets — i.e. a sparse multivariate power-law model, the
 // strongest purely linear direct baseline.
 type DirectLasso struct {
-	m *linmod.Model
+	m *linmod.MultiTaskModel // one task: the log-runtime
 }
 
 // TrainDirectLasso fits the direct-lasso baseline with CV-selected lambda.
@@ -145,9 +146,10 @@ func TrainDirectLasso(r *rng.Source, train *dataset.Table) (Predictor, error) {
 	}
 	lx := mat.NewDense(x.Rows, x.Cols)
 	for i := 0; i < x.Rows; i++ {
-		copy(lx.Row(i), logRow(x.Row(i)))
+		copy(lx.Row(i), logVec(x.Row(i)))
 	}
-	m, _ := linmod.CVLasso(r, lx, logVec(y), 5, 12, linmod.Options{})
+	ly := &mat.Dense{Rows: len(y), Cols: 1, Data: logVec(y)}
+	m, _ := linmod.CVMultiTaskLasso(r, lx, ly, 5, 12, linmod.Options{})
 	return &DirectLasso{m: m}, nil
 }
 
@@ -156,7 +158,7 @@ func (d *DirectLasso) Name() string { return "direct-lasso" }
 
 // PredictAt implements Predictor.
 func (d *DirectLasso) PredictAt(params []float64, scale int) float64 {
-	return math.Exp(d.m.Predict(logRow(withScale(params, scale))))
+	return math.Exp(d.m.PredictTask(logVec(withScale(params, scale)), 0))
 }
 
 // ---- per-configuration curve fitting ----
@@ -181,18 +183,6 @@ func (c *CurveFit) PredictFromCurve(curve []float64, target int) (float64, error
 		return 0, err
 	}
 	return m.Predict(float64(target)), nil
-}
-
-// logVec maps positive targets to logs, clamping non-positive entries.
-func logVec(y []float64) []float64 {
-	out := make([]float64, len(y))
-	for i, v := range y {
-		if v <= 0 {
-			v = 1e-12
-		}
-		out[i] = math.Log(v)
-	}
-	return out
 }
 
 // All returns the direct-ML baseline trainers in presentation order.

@@ -46,10 +46,7 @@ func (m *TwoLevelModel) fitAnchored(r *rng.Source, td trainData) error {
 			logInPlace(fx)
 			logInPlace(fy)
 		}
-		cm, err := fitAnchoredCluster(r, fx, fy, cfg)
-		if err != nil {
-			return fmt.Errorf("core: cluster %d: %w", c, err)
-		}
+		cm := fitAnchoredCluster(r, fx, fy, cfg)
 		cm.Size = len(idx)
 		m.ClusterModels[c] = cm
 	}
@@ -57,36 +54,45 @@ func (m *TwoLevelModel) fitAnchored(r *rng.Source, td trainData) error {
 }
 
 // fitAnchoredCluster fits one cluster's (already transformed) features
-// and targets.
-func fitAnchoredCluster(r *rng.Source, fx, fy *mat.Dense, cfg Config) (ClusterModel, error) {
+// and targets: the multitask lasso at cfg.Lambda, or cross-validated
+// when it is 0.
+func fitAnchoredCluster(r *rng.Source, fx, fy *mat.Dense, cfg Config) ClusterModel {
 	folds := cfg.CVFolds
 	if folds > fx.Rows {
 		folds = fx.Rows
 	}
-	if cfg.SingleTask {
-		models := make([]*linmod.Model, fy.Cols)
-		var lam float64
-		for t := 0; t < fy.Cols; t++ {
-			y := fy.Col(t)
-			if cfg.Lambda > 0 {
-				models[t] = linmod.Lasso(fx, y, cfg.Lambda, cfg.Lasso)
-				lam = cfg.Lambda
-			} else {
-				mdl, l := linmod.CVLasso(r.Split(), fx, y, folds, cfg.CVLambdas, cfg.Lasso)
-				models[t] = mdl
-				lam = l
-			}
+	fit := func(y *mat.Dense) (*linmod.MultiTaskModel, float64) {
+		if cfg.Lambda > 0 {
+			return linmod.MultiTaskLasso(fx, y, cfg.Lambda, cfg.Lasso), cfg.Lambda
 		}
-		return ClusterModel{Single: models, Lambda: lam}, nil
+		return linmod.CVMultiTaskLasso(r.Split(), fx, y, folds, cfg.CVLambdas, cfg.Lasso)
 	}
-	if cfg.Lambda > 0 {
-		return ClusterModel{
-			Multi:  linmod.MultiTaskLasso(fx, fy, cfg.Lambda, cfg.Lasso),
-			Lambda: cfg.Lambda,
-		}, nil
+	if !cfg.SingleTask {
+		mdl, lam := fit(fy)
+		return ClusterModel{Multi: mdl, Lambda: lam}
 	}
-	mdl, lam := linmod.CVMultiTaskLasso(r.Split(), fx, fy, folds, cfg.CVLambdas, cfg.Lasso)
-	return ClusterModel{Multi: mdl, Lambda: lam}, nil
+	// Single-task ablation: one lasso per target scale, each with its
+	// own lambda (and, under CV, its own folds), assembled column by
+	// column into one p×T model. Iterations and Sweeps sum over the
+	// tasks, Gap is the largest task's, and Lambda the last task's.
+	mdl := &linmod.MultiTaskModel{
+		Coef:      mat.NewDense(fx.Cols, fy.Cols),
+		Intercept: make([]float64, fy.Cols),
+		Tasks:     fy.Cols,
+	}
+	var lam float64
+	for t := 0; t < fy.Cols; t++ {
+		var one *linmod.MultiTaskModel
+		one, lam = fit(&mat.Dense{Rows: fy.Rows, Cols: 1, Data: fy.Col(t)})
+		for j := 0; j < fx.Cols; j++ {
+			mdl.Coef.Set(j, t, one.Coef.At(j, 0))
+		}
+		mdl.Intercept[t] = one.Intercept[0]
+		mdl.Iterations += one.Iterations
+		mdl.Sweeps += one.Sweeps
+		mdl.Gap = math.Max(mdl.Gap, one.Gap)
+	}
+	return ClusterModel{Multi: mdl, Lambda: lam}
 }
 
 // predictAnchored evaluates cluster c's anchored model on a small-scale
@@ -109,14 +115,7 @@ func (m *TwoLevelModel) predictAnchoredInto(c int, curve, dst []float64) []float
 		}
 		features = f
 	}
-	cm := &m.ClusterModels[c]
-	if cm.Multi != nil {
-		cm.Multi.PredictInto(features, dst)
-	} else {
-		for i, mdl := range cm.Single {
-			dst[i] = mdl.Predict(features)
-		}
-	}
+	m.ClusterModels[c].Multi.PredictInto(features, dst)
 	if m.Cfg.LogTransform {
 		for i, v := range dst {
 			dst[i] = math.Exp(v)

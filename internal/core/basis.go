@@ -237,42 +237,37 @@ func fitRestricted(basis []scalefit.Term, scales, support []int, shape []float64
 
 // selectSupportForCurve runs a per-curve lasso over the full basis (the
 // single-task ablation's selection), using a fixed or quickly validated
-// lambda.
+// lambda: the one-task multitask lasso on the n×1 shape curve. The
+// support is the non-zero coefficient rows, ranked by |coefficient|.
 func (m *TwoLevelModel) selectSupportForCurve(shape []float64) []int {
 	phi := designMatrix(m.Cfg.Basis, m.Cfg.SmallScales)
+	k := phi.Rows
+	y := &mat.Dense{Rows: k, Cols: 1, Data: shape}
 	lambda := m.Cfg.Lambda
 	if lambda <= 0 {
-		k := phi.Rows
 		phiTrain := gatherRows(phi, seq(k-1))
-		top := linmod.LambdaMax(phiTrain, shape[:k-1])
+		yTrain := &mat.Dense{Rows: k - 1, Cols: 1, Data: shape[:k-1]}
+		top := linmod.MultiTaskLambdaMax(phiTrain, yTrain)
 		if top <= 0 {
 			top = 1e-6
 		}
 		lambdas := lambdaGrid(top, m.Cfg.CVLambdas)
 		best, bestErr := top, math.Inf(1)
-		for g, mdl := range linmod.LassoPath(phiTrain, shape[:k-1], lambdas, m.Cfg.Lasso) {
-			rel := (mdl.Predict(phi.Row(k-1)) - shape[k-1]) / shape[k-1]
+		for g, mdl := range linmod.MultiTaskLassoPath(phiTrain, yTrain, lambdas, m.Cfg.Lasso) {
+			rel := (mdl.PredictTask(phi.Row(k-1), 0) - shape[k-1]) / shape[k-1]
 			if e := rel * rel; e < bestErr {
 				bestErr, best = e, lambdas[g]
 			}
 		}
 		lambda = best
 	}
-	mdl := linmod.Lasso(phi, shape, lambda, m.Cfg.Lasso)
-	var support []int
-	for j, c := range mdl.Coef {
-		if c != 0 {
-			support = append(support, j)
-		}
-	}
+	mdl := linmod.MultiTaskLasso(phi, y, lambda, m.Cfg.Lasso)
+	support := mdl.ActiveFeatures()
 	if len(support) == 0 {
 		support = []int{amdahlIndex(m.Cfg.Basis)}
 	}
 	if len(support) > m.Cfg.MaxTerms {
-		sort.Slice(support, func(a, b int) bool {
-			return math.Abs(mdl.Coef[support[a]]) > math.Abs(mdl.Coef[support[b]])
-		})
-		support = support[:m.Cfg.MaxTerms]
+		support = topTermsByNorm(mdl, support, m.Cfg.MaxTerms)
 		sort.Ints(support)
 	}
 	return support

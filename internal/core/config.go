@@ -206,10 +206,13 @@ const (
 // check validates what every fitted model relies on. Scales: at least
 // four strictly ascending small scales >= 1, and strictly ascending
 // large scales all above them. Settings: the bounds above, finite basis
-// exponents, and a finite non-negative lasso tolerance (the lasso stops
-// on a duality gap at most Tol, which a NaN never is, so a NaN would run
-// every basis-mode prediction's per-curve lasso to MaxIter). Fit applies it after filling defaults, and Read to
-// loaded models, where every value comes from the file.
+// exponents, a finite non-negative lasso tolerance (the lasso stops on
+// a duality gap at most Tol, which a NaN never is, so a NaN would run
+// every basis-mode prediction's per-curve lasso to MaxIter), and at
+// least two CV folds and two grid lambdas (cross-validation needs a
+// held-out fold, and a grid runs from its top down to a smaller
+// lambda). Fit applies it after filling defaults, and Read to loaded
+// models, where every value comes from the file.
 func (c Config) check() error {
 	if len(c.Basis) > maxBasisTerms {
 		return fmt.Errorf("core: %d basis terms, at most %d", len(c.Basis), maxBasisTerms)
@@ -221,6 +224,12 @@ func (c Config) check() error {
 		if math.IsNaN(t.A) || math.IsInf(t.A, 0) {
 			return fmt.Errorf("core: basis term %d has non-finite power exponent %v", i, t.A)
 		}
+	}
+	if c.CVFolds < 2 {
+		return fmt.Errorf("core: CVFolds %d below 2", c.CVFolds)
+	}
+	if c.CVLambdas < 2 {
+		return fmt.Errorf("core: CVLambdas %d below 2", c.CVLambdas)
 	}
 	if c.CVLambdas > maxCVLambdas {
 		return fmt.Errorf("core: CVLambdas %d above %d", c.CVLambdas, maxCVLambdas)

@@ -53,10 +53,9 @@ type TwoLevelModel struct {
 // ClusterModel is one cluster's extrapolation model. Exactly one backend's
 // fields are populated, matching Cfg.Mode after resolution.
 type ClusterModel struct {
-	// Anchored backend: multitask lasso (tasks = large scales) or one
-	// lasso per scale under the single-task ablation.
-	Multi  *linmod.MultiTaskModel `json:"multi,omitempty"`
-	Single []*linmod.Model        `json:"single,omitempty"`
+	// Anchored backend: multitask lasso (tasks = large scales); under
+	// the single-task ablation each column is its own lasso.
+	Multi *linmod.MultiTaskModel `json:"multi,omitempty"`
 
 	// Basis backend: indices of the selected scalability terms (into
 	// Cfg.Basis); nil Support with Cfg.SingleTask means per-curve

@@ -165,7 +165,7 @@ func TestExplicitBasisIgnoresAnchors(t *testing.T) {
 		t.Fatalf("mode = %q", m.Mode())
 	}
 	for _, cm := range m.ClusterModels {
-		if cm.Multi != nil || cm.Single != nil {
+		if cm.Multi != nil {
 			t.Fatal("basis mode built anchored models")
 		}
 	}
@@ -361,6 +361,65 @@ func TestConfigRejectsBadLassoTol(t *testing.T) {
 	}
 	if _, err := (Config{Lasso: linmod.Options{Tol: 1e-6}}).normalize(); err != nil {
 		t.Fatalf("Tol 1e-6 refused: %v", err)
+	}
+}
+
+// TestConfigRejectsSingletonCV: one CV fold leaves nothing to hold
+// out, and a one-lambda grid has no lambda below its top, so an
+// anchored Fit with either refuses it with an error naming the field
+// instead of failing inside the lasso. A model file may carry either
+// value, so Read refuses them too.
+func TestConfigRejectsSingletonCV(t *testing.T) {
+	train, _ := simTables(t, 3, 40, 30, 1, smallCfg())
+	for field, damage := range map[string]func(*Config){
+		"CVFolds":   func(c *Config) { c.CVFolds = 1 },
+		"CVLambdas": func(c *Config) { c.CVLambdas = 1 },
+	} {
+		cfg := smallCfg()
+		cfg.Mode = ModeAnchored
+		damage(&cfg)
+		if _, err := Fit(rng.New(1), train, cfg); err == nil || !strings.Contains(err.Error(), field+" 1 below 2") {
+			t.Fatalf("%s 1: Fit = %v, want an error naming %s", field, err, field)
+		}
+	}
+}
+
+// TestSingleTaskAnchoredModel: the single-task ablation fits one lasso
+// per target scale and stores them as the columns of one p×T model,
+// whose certificate sums the tasks' iterations and sweeps and keeps the
+// largest gap. The model survives write/read with identical predictions.
+func TestSingleTaskAnchoredModel(t *testing.T) {
+	cfg := smallCfg()
+	cfg.SingleTask = true
+	train, test := simTables(t, 4, 80, 30, 5, cfg)
+	m, err := Fit(rng.New(2), train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Mode() != ModeAnchored {
+		t.Fatalf("mode = %q", m.Mode())
+	}
+	for c, cm := range m.ClusterModels {
+		mt := cm.Multi
+		if mt.Tasks != len(cfg.LargeScales) || mt.Gap > 1e-9 || mt.Iterations < mt.Tasks || mt.Sweeps < mt.Iterations {
+			t.Fatalf("cluster %d: %d tasks, gap %g, %d iterations, %d sweeps", c, mt.Tasks, mt.Gap, mt.Iterations, mt.Sweeps)
+		}
+	}
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range test.GroupByConfig() {
+		want, got := m.Predict(c.Params), loaded.Predict(c.Params)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("params %v: read model predicts %v, fitted %v", c.Params, got, want)
+			}
+		}
 	}
 }
 

@@ -359,39 +359,27 @@ func (m *TwoLevelModel) validateLoaded() error {
 	for i, cm := range m.ClusterModels {
 		switch m.Cfg.Mode {
 		case ModeAnchored:
-			if cm.Multi == nil && len(cm.Single) == 0 {
-				return fmt.Errorf("core: anchored cluster %d has no model", i)
+			if cm.Multi == nil {
+				return fmt.Errorf(`core: anchored cluster %d has no "multi" model (per-scale "single" models are no longer read; refit the model)`, i)
 			}
-			if cm.Multi != nil && cm.Multi.Tasks != len(m.Cfg.LargeScales) {
+			if cm.Multi.Tasks != len(m.Cfg.LargeScales) {
 				return fmt.Errorf("core: anchored cluster %d has %d tasks for %d large scales",
 					i, cm.Multi.Tasks, len(m.Cfg.LargeScales))
 			}
-			if cm.Multi != nil {
-				if err := checkDense(fmt.Sprintf("anchored cluster %d coef", i), cm.Multi.Coef,
-					len(m.Cfg.SmallScales), len(m.Cfg.LargeScales)); err != nil {
-					return err
-				}
-				if len(cm.Multi.Intercept) != cm.Multi.Tasks {
-					return fmt.Errorf("core: anchored cluster %d has %d intercepts for %d tasks",
-						i, len(cm.Multi.Intercept), cm.Multi.Tasks)
-				}
-				if g := cm.Multi.Gap; math.IsNaN(g) || math.IsInf(g, 0) || g < 0 {
-					return fmt.Errorf("core: anchored cluster %d lasso gap %v is not a finite non-negative number", i, g)
-				}
-				if cm.Multi.Iterations < 0 || cm.Multi.Sweeps < 0 {
-					return fmt.Errorf("core: anchored cluster %d lasso iterations %d, sweeps %d; both must be non-negative",
-						i, cm.Multi.Iterations, cm.Multi.Sweeps)
-				}
+			if err := checkDense(fmt.Sprintf("anchored cluster %d coef", i), cm.Multi.Coef,
+				len(m.Cfg.SmallScales), len(m.Cfg.LargeScales)); err != nil {
+				return err
 			}
-			if cm.Single != nil && len(cm.Single) != len(m.Cfg.LargeScales) {
-				return fmt.Errorf("core: anchored cluster %d has %d single-task models for %d large scales",
-					i, len(cm.Single), len(m.Cfg.LargeScales))
+			if len(cm.Multi.Intercept) != cm.Multi.Tasks {
+				return fmt.Errorf("core: anchored cluster %d has %d intercepts for %d tasks",
+					i, len(cm.Multi.Intercept), cm.Multi.Tasks)
 			}
-			for t, mdl := range cm.Single {
-				if mdl == nil || len(mdl.Coef) != len(m.Cfg.SmallScales) {
-					return fmt.Errorf("core: anchored cluster %d single-task model %d does not take %d small-scale features",
-						i, t, len(m.Cfg.SmallScales))
-				}
+			if g := cm.Multi.Gap; math.IsNaN(g) || math.IsInf(g, 0) || g < 0 {
+				return fmt.Errorf("core: anchored cluster %d lasso gap %v is not a finite non-negative number", i, g)
+			}
+			if cm.Multi.Iterations < 0 || cm.Multi.Sweeps < 0 {
+				return fmt.Errorf("core: anchored cluster %d lasso iterations %d, sweeps %d; both must be non-negative",
+					i, cm.Multi.Iterations, cm.Multi.Sweeps)
 			}
 		case ModeBasis:
 			for _, j := range cm.Support {

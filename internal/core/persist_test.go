@@ -378,11 +378,15 @@ func TestReadRejectsMalformedShapes(t *testing.T) {
 			m.Cfg.Basis = make([]scalefit.Term, maxBasisTerms+1)
 		}},
 		{"cv lambdas", "CVLambdas 1000000 above", func(m *TwoLevelModel) { m.Cfg.CVLambdas = 1e6 }},
+		{"cv lambdas one", "CVLambdas 1 below 2", func(m *TwoLevelModel) { m.Cfg.CVLambdas = 1 }},
+		{"cv lambdas negative", "CVLambdas -1 below 2", func(m *TwoLevelModel) { m.Cfg.CVLambdas = -1 }},
+		{"cv folds one", "CVFolds 1 below 2", func(m *TwoLevelModel) { m.Cfg.CVFolds = 1 }},
 		{"lasso max iter", "Lasso.MaxIter 1000000000 above", func(m *TwoLevelModel) { m.Cfg.Lasso.MaxIter = 1e9 }},
 		{"lasso tol", "Lasso.Tol -1e-09 is not", func(m *TwoLevelModel) { m.Cfg.Lasso.Tol = -1e-9 }},
 		{"lasso gap", "cluster 1 lasso gap -0.5 is not", func(m *TwoLevelModel) { m.ClusterModels[1].Multi.Gap = -0.5 }},
 		{"lasso sweeps", "cluster 1 lasso iterations", func(m *TwoLevelModel) { m.ClusterModels[1].Multi.Sweeps = -1 }},
 		{"lasso iterations", "cluster 1 lasso iterations -1", func(m *TwoLevelModel) { m.ClusterModels[1].Multi.Iterations = -1 }},
+		{"multi missing", `cluster 1 has no "multi" model`, func(m *TwoLevelModel) { m.ClusterModels[1].Multi = nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

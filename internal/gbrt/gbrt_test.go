@@ -146,10 +146,9 @@ func BenchmarkFit(b *testing.B) {
 }
 
 // friedmanBench mirrors the friedman generator used by the forest and
-// treec bench suites, so BenchmarkGBRTPredictBatch and its compiled twin
-// BenchmarkGBRTPredictBatchCompiled (internal/treec) measure the same
-// model on the same data and their ns/op ratio is the compiled layout's
-// speedup.
+// treec bench suites, so BenchmarkGBRTPredictBatch runs on the same data
+// as BenchmarkForestPredictBatch (internal/forest) and its compiled twin
+// (internal/treec).
 func friedmanBench(r *rng.Source, n int) (*mat.Dense, []float64) {
 	x := mat.NewDense(n, 6)
 	y := make([]float64, n)

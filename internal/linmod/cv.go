@@ -27,45 +27,6 @@ func gatherRows(x *mat.Dense, idx []int) *mat.Dense {
 	return out
 }
 
-func gather(y []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = y[j]
-	}
-	return out
-}
-
-// CVLasso selects the lasso lambda by k-fold cross-validation over a
-// log-spaced grid of nLambdas values below LambdaMax, then refits on the
-// full data at the winner. Each fold walks the grid from the top with
-// warm starts, and so does the refit, down to the winner. It returns the
-// model and the chosen lambda.
-func CVLasso(r *rng.Source, x *mat.Dense, y []float64, k, nLambdas int, opt Options) (*Model, float64) {
-	if k < 2 || k > x.Rows {
-		panic("linmod: CVLasso bad fold count")
-	}
-	lmax := LambdaMax(x, y)
-	if lmax == 0 {
-		lmax = 1e-12
-	}
-	lambdas := logGrid(lmax, 1e-3, nLambdas)
-	folds := cvSplit(r, x.Rows, k)
-	sse := make([]float64, len(lambdas))
-	var cnt int
-	for f := range folds {
-		trIdx, teIdx := antiFold(folds, f, x.Rows)
-		for li, m := range LassoPath(gatherRows(x, trIdx), gather(y, trIdx), lambdas, opt) {
-			for _, i := range teIdx {
-				d := m.Predict(x.Row(i)) - y[i]
-				sse[li] += d * d
-			}
-		}
-		cnt += len(teIdx)
-	}
-	best := bestLambda(sse, cnt)
-	return LassoPath(x, y, lambdas[:best+1], opt)[best], lambdas[best]
-}
-
 // CVMultiTaskLasso selects the multitask-lasso lambda by k-fold CV
 // (summed squared error over all tasks), then refits on the full data.
 // Each fold walks the grid from the top with warm starts, and so does

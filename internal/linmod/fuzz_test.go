@@ -9,7 +9,7 @@ import (
 
 // fuzzProblem decodes a small multitask lasso problem from bytes: n =
 // 1+data[0]%12 rows, p = 1+data[1]%6 features, T = 1+data[2]%4 tasks,
-// lambda = (data[3]+1)/200 of LambdaMax, then X (n×p) and Y (n×T) row by
+// lambda = (data[3]+1)/200 of MultiTaskLambdaMax, then X (n×p) and Y (n×T) row by
 // row, one byte per value as int8/16 (zero once the bytes run out). The
 // values are exact binary fractions, so the fuzzer can build exactly
 // collinear and constant columns.

@@ -11,7 +11,8 @@ import (
 // In the two-level model the tasks are the large target scales and the
 // features are small-scale performance predictions, so the shared L2,1
 // sparsity pattern selects the same informative small scales for every
-// target scale.
+// target scale. It is the package's one model type: a single-task fit
+// (lasso or ridge) is the T = 1 case.
 type MultiTaskModel struct {
 	Coef      *mat.Dense `json:"coef"`      // p × T
 	Intercept []float64  `json:"intercept"` // length T

@@ -108,11 +108,11 @@ func TestMultiTaskIdenticalTasksMatchesScaledLasso(t *testing.T) {
 	}
 	lambda := 0.1
 	mt := MultiTaskLasso(x, y, lambda, Options{MaxIter: 5000, Tol: 1e-10})
-	st := Lasso(x, ySingle, lambda/math.Sqrt(float64(tasks)), Options{MaxIter: 5000, Tol: 1e-10})
+	st := lasso(x, ySingle, lambda/math.Sqrt(float64(tasks)), Options{MaxIter: 5000, Tol: 1e-10})
 	for j := 0; j < p; j++ {
 		for t2 := 0; t2 < tasks; t2++ {
-			if math.Abs(mt.Coef.At(j, t2)-st.Coef[j]) > 1e-4 {
-				t.Fatalf("feature %d task %d: mt=%v st=%v", j, t2, mt.Coef.At(j, t2), st.Coef[j])
+			if math.Abs(mt.Coef.At(j, t2)-st.Coef.Data[j]) > 1e-4 {
+				t.Fatalf("feature %d task %d: mt=%v st=%v", j, t2, mt.Coef.At(j, t2), st.Coef.Data[j])
 			}
 		}
 	}

@@ -11,7 +11,8 @@ import (
 // solver, as test oracles: cyclic coordinate descent over the n data
 // rows from a cold start, stopped when no coefficient moves by Tol. At
 // the same lambda the path solver must reach an objective no higher
-// than theirs.
+// than theirs. They standardize the data themselves, apart from
+// newProblem, so the oracle shares no code with what it checks.
 
 // oracleMultiTaskLasso is block coordinate descent on the multitask
 // lasso: each group takes the group soft-threshold of its residual
@@ -147,8 +148,70 @@ func oracleMultiTaskLasso(x, y *mat.Dense, lambda float64, opt Options) *MultiTa
 	return &MultiTaskModel{Coef: coef, Intercept: inter, Tasks: tasks, Iterations: iters}
 }
 
+// standardized holds a centered and scaled copy of a single-task
+// problem and the statistics that map coefficients back to raw units.
+// It is the oracle's own standardization, independent of newProblem's,
+// so a slip in either shows as a disagreement.
+type standardized struct {
+	x       *mat.Dense // centered and scaled copy
+	y       []float64  // centered copy
+	xMean   []float64
+	xScale  []float64 // column std (1 where degenerate)
+	yMean   float64
+	colNorm []float64 // sum of squares of each standardized column
+}
+
+func standardize(x *mat.Dense, y []float64) *standardized {
+	n, p := x.Rows, x.Cols
+	s := &standardized{
+		x:       x.Clone(),
+		y:       append([]float64(nil), y...),
+		xMean:   make([]float64, p),
+		xScale:  make([]float64, p),
+		colNorm: make([]float64, p),
+	}
+	for j := 0; j < p; j++ {
+		s.xMean[j], s.xScale[j] = columnMean(x, j), columnSD(x, j)
+		for i := 0; i < n; i++ {
+			v := (s.x.At(i, j) - s.xMean[j]) / s.xScale[j]
+			s.x.Set(i, j, v)
+			s.colNorm[j] += v * v
+		}
+	}
+	for _, v := range s.y {
+		s.yMean += v
+	}
+	s.yMean /= float64(n)
+	for i := range s.y {
+		s.y[i] -= s.yMean
+	}
+	return s
+}
+
+// oracleFit is a single-task oracle's model in raw units.
+type oracleFit struct {
+	coef      []float64
+	intercept float64
+}
+
+// unstandardize maps standardized coefficients back to raw units and
+// computes the intercept.
+func (s *standardized) unstandardize(beta []float64) oracleFit {
+	f := oracleFit{coef: make([]float64, len(beta)), intercept: s.yMean}
+	for j := range beta {
+		f.coef[j] = beta[j] / s.xScale[j]
+		f.intercept -= f.coef[j] * s.xMean[j]
+	}
+	return f
+}
+
+// model returns the fit as the package's one-task model.
+func (f oracleFit) model() *MultiTaskModel {
+	return &MultiTaskModel{Coef: column(f.coef), Intercept: []float64{f.intercept}, Tasks: 1}
+}
+
 // oracleLasso is cyclic coordinate descent on the single-task lasso.
-func oracleLasso(x *mat.Dense, y []float64, lambda float64, opt Options) *Model {
+func oracleLasso(x *mat.Dense, y []float64, lambda float64, opt Options) oracleFit {
 	opt = opt.withDefaults()
 	s := standardize(x, y)
 	n := float64(x.Rows)
@@ -159,9 +222,7 @@ func oracleLasso(x *mat.Dense, y []float64, lambda float64, opt Options) *Model 
 
 	l1 := lambda * n
 
-	iters := 0
 	for it := 0; it < opt.MaxIter; it++ {
-		iters = it + 1
 		var maxDelta float64
 		for j := 0; j < p; j++ {
 			cn := s.colNorm[j]
@@ -191,9 +252,7 @@ func oracleLasso(x *mat.Dense, y []float64, lambda float64, opt Options) *Model 
 			break
 		}
 	}
-	m := s.unstandardize(beta)
-	m.Iterations = iters
-	return m
+	return s.unstandardize(beta)
 }
 
 // softThreshold is the scalar proximal operator of the L1 norm.
@@ -231,20 +290,23 @@ func mtObjective(x, y *mat.Dense, m *MultiTaskModel, lambda float64) float64 {
 	return loss + lambda*pen
 }
 
-// lassoObjective is mtObjective for a single-task model.
-func lassoObjective(x *mat.Dense, y []float64, m *Model, lambda float64) float64 {
-	mt := &MultiTaskModel{Coef: &mat.Dense{Rows: len(m.Coef), Cols: 1, Data: m.Coef},
-		Intercept: []float64{m.Intercept}, Tasks: 1}
-	return mtObjective(x, column(y), mt, lambda)
+// column returns y as an n×1 matrix: a single-task problem's Y.
+func column(y []float64) *mat.Dense {
+	return &mat.Dense{Rows: len(y), Cols: 1, Data: append([]float64(nil), y...)}
 }
 
-// columnSD is the standard deviation the solvers scale column j by.
-func columnSD(x *mat.Dense, j int) float64 {
+// columnMean is the mean the solvers center column j by.
+func columnMean(x *mat.Dense, j int) float64 {
 	var sum float64
 	for i := 0; i < x.Rows; i++ {
 		sum += x.At(i, j)
 	}
-	mu := sum / float64(x.Rows)
+	return sum / float64(x.Rows)
+}
+
+// columnSD is the standard deviation the solvers scale column j by.
+func columnSD(x *mat.Dense, j int) float64 {
+	mu := columnMean(x, j)
 	var ss float64
 	for i := 0; i < x.Rows; i++ {
 		d := x.At(i, j) - mu

@@ -106,7 +106,7 @@ func newProblem(x, y *mat.Dense) *problem {
 // fit and cannot raise ‖Bⱼ‖ + ‖Bₖ‖, and the dual constraint of column k
 // has the same norm as column j's. Left in, the pair would give the
 // objective a flat direction along which Newton steps are arbitrary.
-// (An elastic net's ridge prefers splitting the weight, so it keeps
+// (Ridge's L2 penalty prefers splitting the weight, so it keeps
 // duplicates.)
 func (pr *problem) dropDuplicates() {
 	p := pr.p
@@ -575,8 +575,8 @@ func cholSolveRows(l *mat.Dense, r []float64, cols int) {
 	}
 }
 
-// leastSquares sets B to the least-squares solution G·B = C, with the
-// ridge regression's 1e-10·n jitter when G is singular.
+// leastSquares sets B to the least-squares solution G·B = C, with a
+// 1e-10·n jitter on G's diagonal when G is singular.
 func (s *solver) leastSquares() {
 	p := s.p
 	g := &mat.Dense{Rows: p, Cols: p, Data: append([]float64(nil), s.g...)}

@@ -36,7 +36,7 @@ func TestSoftThresholdProperties(t *testing.T) {
 }
 
 // TestLassoMonotoneSparsityProperty: increasing lambda never increases the
-// training fit quality and never grows the support past LambdaMax.
+// training fit quality and never grows the support past MultiTaskLambdaMax.
 func TestLassoMonotoneSparsityProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		r := rng.New(uint64(seed) + 3)
@@ -49,13 +49,13 @@ func TestLassoMonotoneSparsityProperty(t *testing.T) {
 			}
 			y[i] = 2*x.At(i, 0) - x.At(i, 2) + 0.1*r.Norm()
 		}
-		lmax := LambdaMax(x, y)
+		lmax := MultiTaskLambdaMax(x, column(y))
 		prevSSE := -1.0
 		for _, frac := range []float64{0.01, 0.1, 0.5, 1.01} {
-			m := Lasso(x, y, lmax*frac, Options{})
+			m := lasso(x, y, lmax*frac, Options{})
 			var sse float64
 			for i := 0; i < n; i++ {
-				d := m.Predict(x.Row(i)) - y[i]
+				d := m.PredictTask(x.Row(i), 0) - y[i]
 				sse += d * d
 			}
 			if sse < prevSSE-1e-9 { // SSE must not decrease as lambda grows
@@ -64,8 +64,8 @@ func TestLassoMonotoneSparsityProperty(t *testing.T) {
 			prevSSE = sse
 		}
 		// above lambda max: empty support
-		m := Lasso(x, y, lmax*1.01, Options{})
-		for _, c := range m.Coef {
+		m := lasso(x, y, lmax*1.01, Options{})
+		for _, c := range m.Coef.Data {
 			if c != 0 {
 				return false
 			}
@@ -94,12 +94,12 @@ func TestRidgePredictionShrinksTowardMeanProperty(t *testing.T) {
 			mean += y[i]
 		}
 		mean /= float64(n)
-		m := Ridge(x, y, 1e9)
+		m := Ridge(x, column(y), 1e9)
 		probe := make([]float64, p)
 		for j := range probe {
 			probe[j] = r.Norm()
 		}
-		return math.Abs(m.Predict(probe)-mean) < 0.05*math.Abs(mean)+0.05
+		return math.Abs(m.PredictTask(probe, 0)-mean) < 0.05*math.Abs(mean)+0.05
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -135,16 +135,11 @@ func checkFixture(t *testing.T, a *lint.Analyzer, dir, pkgPath string) {
 	}
 }
 
-func TestNoDirectRandFixture(t *testing.T) {
-	checkFixture(t, lint.NoDirectRand, "nodirectrand", "repro/internal/tree")
-}
-
 func TestRandFlowImportAndCallBan(t *testing.T) {
 	// The ban is module-wide — randflow flags forbidden imports and calls
-	// under ANY package path, including cmd/ (which the old nodirectrand
-	// restricted list exempted). Strictly stronger, by test.
+	// under ANY package path, cmd/ included.
 	for _, path := range []string{"repro/internal/tree", "repro/cmd/tool"} {
-		checkFixture(t, lint.RandFlow, "nodirectrand", path)
+		checkFixture(t, lint.RandFlow, "randflow", path)
 	}
 }
 

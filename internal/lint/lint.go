@@ -126,7 +126,6 @@ func (p *ModulePass) Position(pos token.Pos) string {
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		NoDirectRand,
 		NoWallClock,
 		FloatEq,
 		MapIterOrder,

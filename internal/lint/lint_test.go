@@ -55,8 +55,8 @@ func TestAnalyzerNamesAreUniqueAndDocumented(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 8 {
-		t.Errorf("suite has %d analyzers, want 8", len(seen))
+	if len(seen) != 7 {
+		t.Errorf("suite has %d analyzers, want 7", len(seen))
 	}
 	if lint.AuditAnalyzerName != "allowaudit" || seen[lint.AuditAnalyzerName] {
 		t.Errorf("the audit pseudo-analyzer must stay outside the suite (cannot be suppressed)")

@@ -10,18 +10,16 @@ import (
 
 // RandFlow enforces the single-root randomness contract module-wide:
 // every stream must provably derive from the seeded internal/rng root.
-// It subsumes the old package-scoped import ban (nodirectrand's
-// restricted list) with three precise, module-wide checks:
+// It makes three precise, module-wide checks:
 //
 //  1. No math/rand, math/rand/v2, or crypto/rand anywhere in the module —
 //     imports (including test files, syntactically) and resolved calls
 //     (type-checked files, so laundering through a renamed import or a
 //     helper in a "free" package is still caught).
 //  2. The seed handed to internal/rng's constructors (New, NewStream)
-//     must not derive — even transitively, through helpers in cmd/ or
-//     internal/serving — from the wall clock or a forbidden generator.
-//     nodirectrand catches the syntactic `New(time.Now()...)` form; this
-//     taint check catches the laundered ones.
+//     must not derive from the wall clock or a forbidden generator,
+//     whether inline (`rng.New(uint64(time.Now().UnixNano()))`) or
+//     transitively, through helpers in cmd/ or internal/serving.
 //  3. An rng stream is not safe for concurrent use: a *rng.Source
 //     referenced from two goroutines (or from a goroutine and its parent)
 //     is flagged. The sanctioned pattern is Split(): derive a child per
@@ -31,6 +29,11 @@ var RandFlow = &Analyzer{
 	Doc:       "all randomness derives from the seeded internal/rng root: no math/rand or crypto/rand anywhere, no tainted seeds, no stream shared across goroutines",
 	RunModule: runRandFlow,
 }
+
+// forbiddenRandImports are the generators that would silently break
+// seed-determinism (math/rand family) or are non-deterministic by design
+// (crypto/rand).
+var forbiddenRandImports = []string{"math/rand", "math/rand/v2", "crypto/rand"}
 
 // rngSourceType identifies the module's stream type and its roots.
 const (

@@ -76,12 +76,14 @@ func c12() string { return c13() }
 func c13() string { return time.Now().String() } // want clockflow randflow
 
 // mkSeed derives an rng seed from the wall clock through a helper: the
-// laundered form the old syntactic check missed.
+// laundered form a syntactic check misses.
 func mkSeed() uint64 { return uint64(time.Now().UnixNano()) } // want randflow
 
 func seedFromClock() {
 	s := rng.New(mkSeed())
 	_ = s.Uint64()
+	d := rng.New(uint64(time.Now().UnixNano())) // want randflow
+	_ = d.Uint64()
 }
 
 // sharedStream hands one stream to two goroutines.

@@ -1,4 +1,4 @@
-// Fixture: known-good code that nodirectrand must stay silent on — a
+// Fixture: known-good code that randflow must stay silent on — a
 // hand-rolled deterministic generator with an explicit integer seed, the
 // pattern internal/rng implements.
 package fixture

@@ -195,6 +195,8 @@ func TestMulVecT(t *testing.T) {
 	}
 }
 
+// naiveMul is the textbook triple-loop product, the oracle for the
+// kernels that multiply (MulATA, MulVec, the Cholesky factor).
 func naiveMul(a, b *Dense) *Dense {
 	out := NewDense(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -209,45 +211,11 @@ func naiveMul(a, b *Dense) *Dense {
 	return out
 }
 
-func TestMulAgainstNaive(t *testing.T) {
-	r := rng.New(2)
-	for _, shape := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 5, 5}, {17, 31, 13}, {64, 64, 64}, {70, 129, 65}} {
-		a := randomDense(r, shape[0], shape[1])
-		b := randomDense(r, shape[1], shape[2])
-		got := Mul(a, b)
-		want := naiveMul(a, b)
-		if !Equalish(got, want, 1e-9) {
-			t.Fatalf("Mul mismatch for shape %v", shape)
-		}
-	}
-}
-
-func TestMulParallelPath(t *testing.T) {
-	// Large enough to exceed parallelThreshold.
-	r := rng.New(3)
-	a := randomDense(r, 80, 80)
-	b := randomDense(r, 80, 80)
-	got := Mul(a, b)
-	want := naiveMul(a, b)
-	if !Equalish(got, want, 1e-8) {
-		t.Fatal("parallel Mul mismatch")
-	}
-}
-
-func TestMulDimensionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Mul(NewDense(2, 3), NewDense(2, 3))
-}
-
 func TestMulATA(t *testing.T) {
 	r := rng.New(4)
 	a := randomDense(r, 12, 7)
 	got := MulATA(a)
-	want := Mul(a.T(), a)
+	want := naiveMul(a.T(), a)
 	if !Equalish(got, want, 1e-9) {
 		t.Fatal("MulATA mismatch")
 	}
@@ -272,7 +240,7 @@ func TestMulAssociativityProperty(t *testing.T) {
 		for i := range x {
 			x[i] = rr.Norm()
 		}
-		left := Mul(a, b).MulVec(nil, x)
+		left := naiveMul(a, b).MulVec(nil, x)
 		right := a.MulVec(nil, b.MulVec(nil, x))
 		for i := range left {
 			if math.Abs(left[i]-right[i]) > 1e-10 {
@@ -319,7 +287,7 @@ func TestCholeskyFactorProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equalish(Mul(l, l.T()), a, 1e-9) {
+	if !Equalish(naiveMul(l, l.T()), a, 1e-9) {
 		t.Fatal("L*Lᵀ != A")
 	}
 	// strictly upper part of L must be zero
@@ -406,16 +374,6 @@ func TestQRSingularDetection(t *testing.T) {
 func TestEqualishShapes(t *testing.T) {
 	if Equalish(NewDense(2, 2), NewDense(2, 3), 1) {
 		t.Fatal("Equalish ignored shape mismatch")
-	}
-}
-
-func BenchmarkMul128(b *testing.B) {
-	r := rng.New(1)
-	x := randomDense(r, 128, 128)
-	y := randomDense(r, 128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mul(x, y)
 	}
 }
 

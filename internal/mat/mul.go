@@ -1,86 +1,7 @@
 package mat
 
-import (
-	"runtime"
-	"sync"
-)
-
-// matmul tuning knobs. blockSize trades cache reuse against scheduling
-// granularity; parallelThreshold is the flop count below which the serial
-// kernel wins (goroutine fan-out costs more than it saves on tiny products).
-const (
-	blockSize         = 64
-	parallelThreshold = 1 << 18
-)
-
-// Mul returns a*b using a cache-blocked kernel, parallelized across row
-// blocks when the product is large enough to amortize goroutine startup.
-func Mul(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic("mat: Mul dimension mismatch")
-	}
-	out := NewDense(a.Rows, b.Cols)
-	flops := a.Rows * a.Cols * b.Cols
-	if flops < parallelThreshold {
-		mulRange(out, a, b, 0, a.Rows)
-		return out
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mulRange(out, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
-}
-
-// mulRange computes rows [rlo, rhi) of out = a*b with i-k-j loop order and
-// k-blocking so the streamed row of b stays in cache.
-func mulRange(out, a, b *Dense, rlo, rhi int) {
-	n, p := a.Cols, b.Cols
-	for kb := 0; kb < n; kb += blockSize {
-		kend := kb + blockSize
-		if kend > n {
-			kend = n
-		}
-		for i := rlo; i < rhi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for k := kb; k < kend; k++ {
-				aik := arow[k]
-				if aik == 0 {
-					continue
-				}
-				brow := b.Data[k*p : (k+1)*p]
-				for j, bv := range brow {
-					orow[j] += aik * bv
-				}
-			}
-		}
-	}
-}
-
 // MulATA returns aᵀ*a, exploiting symmetry: only the upper triangle is
-// computed, then mirrored. This is the Gram matrix used by the linear models.
+// computed, then mirrored. NNLS factors this Gram matrix.
 func MulATA(a *Dense) *Dense {
 	n := a.Cols
 	out := NewDense(n, n)

@@ -32,7 +32,7 @@
 // derived from the (app, generation) pair, so rerunning a cycle over
 // the same store produces byte-identical model files and journal
 // entries. Both properties are enforced by repolint (nowallclock,
-// nodirectrand).
+// randflow).
 package pipeline
 
 import (

@@ -95,9 +95,6 @@ func Quantile(x []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Median returns the median of x.
-func Median(x []float64) float64 { return Quantile(x, 0.5) }
-
 // ---- prediction-error metrics ----
 
 func checkPaired(yTrue, yPred []float64) {

@@ -21,7 +21,7 @@
 // (predicted, actual) pairs, it hands back quantiles and verdicts. It
 // never reads the wall clock and draws no randomness, so everything
 // downstream stays byte-reproducible (enforced by repolint's
-// nowallclock and nodirectrand analyzers).
+// nowallclock and randflow analyzers).
 package uncertainty
 
 import (
