@@ -17,6 +17,7 @@ import (
 func main() {
 	direct()
 	transitive()
+	batchIngest()
 	sanctioned()
 	operational()
 	_ = c1() // depth bound exceeded: give-up reported at the source
@@ -42,6 +43,14 @@ func transitive() {
 	var j pipeline.Journal
 	e := buildEntry(stamp())
 	_ = j.Append(e)
+}
+
+// batchIngest stamps a table with the clock before it reaches the
+// store's batch write path.
+func batchIngest() {
+	var s pipeline.Store
+	t := &pipeline.Table{App: time.Now().Format(time.RFC3339)} // want clockflow
+	_, _, _ = s.ImportTable(t)
 }
 
 // sanctioned is the annotated boundary: suppressed, and the directive is

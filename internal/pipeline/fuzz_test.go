@@ -15,9 +15,12 @@ import (
 // two properties over arbitrary bytes: the reader returns a valid state
 // or an error naming the file, never a panic; and a torn-tail recovery
 // is final, so the repaired file re-opens to the same state with no
-// further TornTail. The committed seeds (testdata/fuzz) cover a valid
-// file, a torn last line, a torn lone first line, a malformed middle
-// line and an empty file; the over-long line is built here, because a
+// further TornTail. A partition is also read in two pieces, as a
+// Refresh reads a file that grew between scans, and must come out as a
+// one-pass read of the same bytes. The committed seeds (testdata/fuzz)
+// cover a valid file, a torn last line, a torn lone first line, a
+// malformed middle line, an empty file, and splits inside a record and
+// just before a newline; the over-long line is built here, because a
 // line past the scanner's 4 MiB limit is too large to commit.
 
 // overlongLine returns prefix followed by one line longer than
@@ -46,47 +49,110 @@ func requireNamed(t *testing.T, err error, path string) {
 }
 
 func FuzzReadPartition(f *testing.F) {
-	f.Add(overlongLine(`{"app":"smg","param_names":["nx","ny"]}` + "\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(overlongLine(`{"app":"smg","param_names":["nx","ny"]}`+"\n"), uint(41))
+	f.Fuzz(func(t *testing.T, data []byte, split uint) {
 		path := writeFuzzFile(t, "smg.jsonl", data)
-		part, torn, err := readPartition(path, "smg")
+		part, _, torn, err := readPartition(path, "smg", nil)
 		if err != nil {
 			requireNamed(t, err, path)
-			return
-		}
-		if part == nil {
-			// Only a torn header: the file is removed.
+		} else if part == nil {
+			// No header line: the file is removed.
 			if torn == nil {
 				t.Fatal("nil partition without a torn tail")
 			}
 			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("file of a torn header survives: %v", err)
+				t.Fatalf("file without a header survives: %v", err)
 			}
-			return
-		}
-		seen := map[string]bool{}
-		for i, rec := range part.records {
-			if rec.App != "smg" || len(rec.Params) != len(part.paramNames) {
-				t.Fatalf("record %d = %+v does not fit partition smg%v", i, rec, part.paramNames)
+		} else {
+			checkPartition(t, part)
+			if same, n, torn, err := readPartition(path, "smg", part); same != part || n != 0 || torn != nil || err != nil {
+				t.Fatalf("refresh of an unchanged file: same index %v, %d bytes parsed, torn %v, err %v", same == part, n, torn, err)
 			}
-			h := rec.Hash()
-			if seen[h] || !part.hashes[h] {
-				t.Fatalf("record %d: hash index out of step (duplicate %v, indexed %v)", i, seen[h], part.hashes[h])
+			again, _, torn2, err := readPartition(path, "smg", nil)
+			if err != nil || torn2 != nil {
+				t.Fatalf("re-open after a clean read: torn %v, err %v", torn2, err)
 			}
-			seen[h] = true
+			requireSamePartition(t, again, part)
 		}
-		if len(seen) != len(part.hashes) {
-			t.Fatalf("%d hashes indexed for %d records", len(part.hashes), len(seen))
-		}
-
-		again, torn2, err := readPartition(path, "smg")
-		if err != nil || torn2 != nil {
-			t.Fatalf("re-open after a clean read: torn %v, err %v", torn2, err)
-		}
-		if !reflect.DeepEqual(again, part) {
-			t.Fatal("re-open read a different partition")
-		}
+		readInTwoPieces(t, data, int(split%uint(len(data)+1)))
 	})
+}
+
+// readInTwoPieces writes data[:k], reads it, appends data[k:] and reads
+// the grown file on from the first read's index, as Refresh does. The
+// result must equal a one-pass read of a copy of the grown file, and
+// both reads must leave their file with the same bytes.
+func readInTwoPieces(t *testing.T, data []byte, k int) {
+	t.Helper()
+	path := writeFuzzFile(t, "smg.jsonl", data[:k])
+	first, _, _, err := readPartition(path, "smg", nil)
+	if err != nil {
+		return // the prefix holds a malformed whole line: nothing to extend
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data[k:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onePath := writeFuzzFile(t, "smg.jsonl", grown)
+	want, _, wantTorn, wantErr := readPartition(onePath, "smg", nil)
+	got, _, gotTorn, gotErr := readPartition(path, "smg", first)
+	if (gotErr != nil) != (wantErr != nil) || (gotTorn != nil) != (wantTorn != nil) || (got != nil) != (want != nil) {
+		t.Fatalf("split at %d: two-piece read (torn %v, err %v) differs from one pass (torn %v, err %v)", k, gotTorn, gotErr, wantTorn, wantErr)
+	}
+	if got != nil {
+		requireSamePartition(t, got, want)
+	}
+	gotBytes, gotStat := os.ReadFile(path)
+	wantBytes, wantStat := os.ReadFile(onePath)
+	if !bytes.Equal(gotBytes, wantBytes) || (gotStat == nil) != (wantStat == nil) {
+		t.Fatalf("split at %d: the two reads left different files", k)
+	}
+}
+
+// checkPartition holds a partition's records and hash index in step.
+func checkPartition(t *testing.T, part *appPartition) {
+	t.Helper()
+	seen := map[recordKey]bool{}
+	for i, rec := range part.records {
+		if rec.App != "smg" || len(rec.Params) != len(part.paramNames) {
+			t.Fatalf("record %d = %+v does not fit partition smg%v", i, rec, part.paramNames)
+		}
+		k := rec.key()
+		if seen[k] || !part.hashes[k] {
+			t.Fatalf("record %d: hash index out of step (duplicate %v, indexed %v)", i, seen[k], part.hashes[k])
+		}
+		seen[k] = true
+	}
+	if len(seen) != len(part.hashes) {
+		t.Fatalf("%d hashes indexed for %d records", len(part.hashes), len(seen))
+	}
+}
+
+// requireSamePartition compares two indexes, except for which file each
+// was read from.
+func requireSamePartition(t *testing.T, got, want *appPartition) {
+	t.Helper()
+	if !samePartition(got, want) {
+		t.Fatalf("partitions differ:\n got %d records to offset %d: %+v\nwant %d records to offset %d: %+v",
+			len(got.records), got.off, got.records, len(want.records), want.off, want.records)
+	}
+}
+
+// samePartition reports whether two indexes hold the same records read
+// to the same offset, whichever file each was read from.
+func samePartition(a, b *appPartition) bool {
+	return reflect.DeepEqual(a.paramNames, b.paramNames) && reflect.DeepEqual(a.records, b.records) &&
+		reflect.DeepEqual(a.hashes, b.hashes) && a.off == b.off
 }
 
 func FuzzOpenJournal(f *testing.F) {

@@ -75,7 +75,15 @@ type Journal struct {
 // torn last line is cut off the file and reported by Torn.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path}
-	torn, err := scanLines(path, func(b []byte) error {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return j, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	_, torn, err := scanLines(f, 0, func(b []byte) error {
 		var e Entry
 		if err := json.Unmarshal(b, &e); err != nil {
 			return err
@@ -84,9 +92,6 @@ func OpenJournal(path string) (*Journal, error) {
 		j.maxGen = max(j.maxGen, e.Gen)
 		return nil
 	})
-	if os.IsNotExist(err) {
-		return j, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +123,7 @@ func (j *Journal) Append(e Entry) error {
 	if err != nil {
 		return err
 	}
-	if err := appendLine(j.path, line, !fileExists(j.path)); err != nil {
+	if _, err := appendLines(j.path, append(line, '\n'), !fileExists(j.path), nil, 0); err != nil {
 		return err
 	}
 	j.entries = append(j.entries, e)

@@ -3,12 +3,13 @@ package pipeline
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"syscall"
 )
 
 // The store's partitions and the journal are JSONL files that only ever
-// grow by appendLine, one whole line per write. A crash mid-append can
+// grow by appendLines, whole lines per write. A crash mid-append can
 // leave a torn last line: the front of a record with no newline. Readers
 // cut such a line off, so the next process can open the file and the
 // next append starts on a line of its own; a malformed line anywhere
@@ -26,18 +27,16 @@ func (t TornTail) String() string {
 	return fmt.Sprintf("%s: dropped a torn %d-byte last line at offset %d (%v)", t.Path, t.Bytes, t.Offset, t.Err)
 }
 
-// scanLines calls fn on each non-empty line of the file at path, in
-// order. A line fn rejects is an error, unless
-// it is the last line and has no newline: then it is cut off the file
-// and reported instead. A last line fn accepts gets its missing newline
-// written, so the next append cannot run into it (see repairTail).
-func scanLines(path string, fn func(line []byte) error) (*TornTail, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// scanLines calls fn on each non-empty line of f from offset from on, in
+// order, and returns the offset just past the last line it settled: the
+// point a later scan of the grown file starts from. A line fn rejects is
+// an error, unless it is the last line and has no newline; such a line
+// is settled by repairTail.
+func scanLines(f *os.File, from int64, fn func(line []byte) error) (int64, *TornTail, error) {
+	if _, err := f.Seek(from, io.SeekStart); err != nil {
+		return 0, nil, fmt.Errorf("pipeline: %s: %w", f.Name(), err)
 	}
-	defer f.Close()
-	var start, end int64 // byte range of the current line
+	start, end := from, from // byte range of the current line
 	terminated := true
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
@@ -50,38 +49,140 @@ func scanLines(path string, fn func(line []byte) error) (*TornTail, error) {
 		return adv, tok, err
 	})
 	for line := 1; sc.Scan(); line++ {
+		if !terminated {
+			return repairTail(f, start, end, sc.Bytes(), fn)
+		}
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		if err := fn(sc.Bytes()); err != nil {
-			if terminated {
-				return nil, fmt.Errorf("pipeline: %s line %d: %w", path, line, err)
+			if from > 0 {
+				return 0, nil, fmt.Errorf("pipeline: %s line %d past offset %d: %w", f.Name(), line, from, err)
 			}
-			return repairTail(path, start, end, err)
+			return 0, nil, fmt.Errorf("pipeline: %s line %d: %w", f.Name(), line, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("pipeline: %s: %w", path, err)
+		return 0, nil, fmt.Errorf("pipeline: %s: %w", f.Name(), err)
 	}
-	if !terminated {
-		return repairTail(path, start, end, nil)
-	}
-	return nil, nil
+	return end, nil, nil
 }
 
-// repairTail mends the unterminated last line [start, end) of path: a
-// line that did not parse (cause) is truncated away and reported, one
-// that did gets its newline. Appenders hold an exclusive flock while
-// they write (appendLine), so under that lock a file still end bytes
-// long ends in a line nobody is writing: a crash cut it short. A longer
-// file means the line was being appended as it was read and is whole
-// now; it is left alone, and the caller's view simply ends before it.
-func repairTail(path string, start, end int64, cause error) (*TornTail, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return nil, err
+// repairTail settles the unterminated last line [start, end) of f and
+// returns where the scan ends. Appenders hold an exclusive flock while
+// they write (appendLines), so under that lock a file that is still the
+// one f reads and still end bytes long ends in a line nobody is writing:
+// a crash cut it short. Such a line goes to fn; one fn accepts gets its
+// newline, one it rejects is truncated away and reported. A file that
+// grew or was replaced meanwhile had the line appended as it was read:
+// it is left alone, and the scan ends before it, for the next scan to
+// read whole.
+func repairTail(f *os.File, start, end int64, line []byte, fn func([]byte) error) (int64, *TornTail, error) {
+	w, err := os.OpenFile(f.Name(), os.O_WRONLY, 0)
+	if os.IsNotExist(err) {
+		return start, nil, nil // removed meanwhile: the next scan finds it gone
 	}
-	defer f.Close() // releases the lock
+	if err != nil {
+		return 0, nil, err
+	}
+	defer w.Close() // releases the lock
+	if err := syscall.Flock(int(w.Fd()), syscall.LOCK_EX); err != nil {
+		return 0, nil, fmt.Errorf("pipeline: locking %s: %w", f.Name(), err)
+	}
+	wi, err := w.Stat()
+	if err != nil {
+		return 0, nil, err
+	}
+	ri, err := f.Stat()
+	if err != nil {
+		return 0, nil, err
+	}
+	if !os.SameFile(wi, ri) || wi.Size() != end {
+		return start, nil, nil
+	}
+	var cause error
+	if len(line) > 0 {
+		cause = fn(line)
+	}
+	if cause == nil {
+		if _, err := w.WriteAt([]byte{'\n'}, end); err != nil {
+			return 0, nil, err
+		}
+		return end + 1, nil, w.Sync()
+	}
+	if err := w.Truncate(start); err != nil {
+		return 0, nil, err
+	}
+	if err := w.Sync(); err != nil {
+		return 0, nil, err
+	}
+	return start, &TornTail{Path: f.Name(), Offset: start, Bytes: end - start, Err: cause}, nil
+}
+
+// appendLines appends buf, whole newline-terminated lines, to the file at
+// path with one write and makes it durable with one fsync: the one write
+// path of the store and the journal. create makes a new file, which must
+// not exist yet. The write happens under an exclusive flock, so a reader
+// repairing a torn tail never mistakes lines in flight for one (see
+// repairTail), and only into the file path names once the lock is held,
+// so lines never land in a file a reader removed (removeUnchanged) or a
+// Compact replaced while the appender waited. appendLines reports
+// whether, under the lock, the file was view and off bytes long (a new
+// file counts as caught up): whether the caller's view of the file had
+// reached its end. A write or fsync that fails is undone, so the
+// caller's error means the lines are gone.
+func appendLines(path string, buf []byte, create bool, view os.FileInfo, off int64) (caughtUp bool, err error) {
+	flags := os.O_WRONLY | os.O_APPEND
+	if create {
+		flags |= os.O_CREATE | os.O_EXCL
+	}
+	for {
+		f, err := os.OpenFile(path, flags, 0o644)
+		if err != nil {
+			return false, err
+		}
+		// The lock-and-check of lockCurrent, spelled out: journal entries
+		// reach this function, and repolint's taint analysis merges the
+		// results of a helper over all its callers, so sharing lockCurrent
+		// with the store's readers would carry the journal's timestamps
+		// into the store index.
+		if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
+			_ = f.Close() // the locking error is the one worth reporting
+			return false, fmt.Errorf("pipeline: locking %s: %w", path, err)
+		}
+		before, err := f.Stat()
+		if err != nil {
+			_ = f.Close()
+			return false, err
+		}
+		if cur, err := os.Stat(path); err != nil || !os.SameFile(before, cur) {
+			_ = f.Close() // only read: nothing was written to it
+			if err != nil && !os.IsNotExist(err) {
+				return false, err
+			}
+			continue // removed or replaced while this appender waited
+		}
+		_, err = f.Write(buf)
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			// Best effort: the write error is the one worth reporting.
+			if create {
+				_ = os.Remove(path)
+			} else {
+				_ = f.Truncate(before.Size())
+			}
+			_ = f.Close()
+			return false, err
+		}
+		return create || (os.SameFile(before, view) && before.Size() == off), f.Close()
+	}
+}
+
+// lockCurrent takes the exclusive flock on f, opened from path, and
+// returns f's state under the lock; nil when path no longer names f.
+func lockCurrent(f *os.File, path string) (os.FileInfo, error) {
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
 		return nil, fmt.Errorf("pipeline: locking %s: %w", path, err)
 	}
@@ -89,48 +190,26 @@ func repairTail(path string, start, end int64, cause error) (*TornTail, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fi.Size() != end {
+	cur, err := os.Stat(path)
+	if os.IsNotExist(err) {
 		return nil, nil
 	}
-	if cause == nil {
-		if _, err := f.WriteAt([]byte{'\n'}, end); err != nil {
-			return nil, err
-		}
-		return nil, f.Sync()
-	}
-	if err := f.Truncate(start); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		return nil, err
+	if !os.SameFile(fi, cur) {
+		return nil, nil
 	}
-	return &TornTail{Path: path, Offset: start, Bytes: end - start, Err: cause}, nil
+	return fi, nil
 }
 
-// appendLine appends one newline-terminated line and fsyncs. create
-// allows creating the file (first line of a new partition). The write
-// happens under an exclusive flock, so a reader repairing a torn tail
-// never mistakes a line in flight for one (see repairTail).
-func appendLine(path string, line []byte, create bool) error {
-	flags := os.O_WRONLY | os.O_APPEND
-	if create {
-		flags |= os.O_CREATE | os.O_EXCL
+// removeUnchanged removes the file f reads if, under the appenders'
+// lock, path still names it and it is still size bytes long: nothing
+// was appended since it was read. It reports whether it removed it.
+func removeUnchanged(f *os.File, size int64) (bool, error) {
+	fi, err := lockCurrent(f, f.Name())
+	if err != nil || fi == nil || fi.Size() != size {
+		return false, err
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("pipeline: locking %s: %w", path, err)
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
+	return true, os.Remove(f.Name())
 }

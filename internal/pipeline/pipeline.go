@@ -6,9 +6,11 @@
 //
 // Four stages, each in its own file:
 //
-//   - ingest (store.go): an append-only, fsync'd JSONL run-record store,
-//     partitioned per application, deduplicated by record content hash,
-//     fed by Append or by CSV import through internal/dataset.
+//   - ingest (store.go): an append-only JSONL run-record store, fsync'd
+//     per batch, partitioned per application, deduplicated by record
+//     content hash, fed by Append or by CSV import through
+//     internal/dataset, and refreshed by reading only what other
+//     processes appended.
 //   - trigger (trigger.go): the retrain policy — N new records per app
 //     since the last training cycle, or an explicit Kick.
 //   - gate (gate.go): candidate-vs-incumbent evaluation on a held-out,

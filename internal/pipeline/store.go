@@ -3,7 +3,9 @@ package pipeline
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,11 +19,14 @@ import (
 )
 
 // Store is the ingest stage: an append-only run-record store on disk,
-// one JSONL file per application under a root directory. Appends are
-// fsync'd so an acknowledged record survives a crash; rewrites
-// (Compact) go through the temp+rename idiom so readers never observe
-// a torn file. Records are deduplicated by content hash, making both
-// re-imports of the same CSV and crash-retry appends idempotent.
+// one JSONL file per application under a root directory. Every append
+// is one batch — a whole table from ImportTable, or the single record of
+// Append — written with one write and one fsync under the partition's
+// flock, and acknowledged only after that fsync, so an acknowledged
+// record survives a crash. Rewrites (Compact) go through the
+// temp+rename idiom so readers never observe a torn file. Records are
+// deduplicated by content hash, making both re-imports of the same CSV
+// and crash-retry appends idempotent.
 //
 // File layout: line 1 is a header object naming the application and its
 // parameter columns; every further line is one record. The file is
@@ -30,16 +35,22 @@ import (
 type Store struct {
 	dir string
 
-	mu   sync.Mutex
-	apps map[string]*appPartition
-	torn []TornTail // cut off by scans, until TornTails hands them out
+	mu     sync.Mutex
+	apps   map[string]*appPartition
+	torn   []TornTail // cut off by scans, until TornTails hands them out
+	parsed int64      // partition bytes scans have read since OpenStore
 }
 
-// appPartition is the in-memory index of one application's file.
+// appPartition is the in-memory index of one application's file: the
+// records of its first off bytes, in file order. file identifies the
+// file they were read from, so a scan can tell a grown file (read the
+// tail) from a replaced one (read it whole).
 type appPartition struct {
 	paramNames []string
-	hashes     map[string]bool
+	hashes     map[recordKey]bool
 	records    []Record
+	file       os.FileInfo
+	off        int64
 }
 
 // storeHeader is the first line of every partition file.
@@ -61,24 +72,34 @@ type Record struct {
 	Rep     int       `json:"rep,omitempty"`
 }
 
-// Hash returns the record's content hash (hex), the dedup key.
-func (rec Record) Hash() string {
-	var b strings.Builder
-	b.WriteString(rec.App)
-	b.WriteByte('|')
+// recordKey is a record's dedup key: the SHA-256 of its content.
+type recordKey [sha256.Size]byte
+
+// key returns the record's content hash: SHA-256 over
+// "app|p1,p2,...|scale|runtime|rep", numbers in their shortest form.
+func (rec *Record) key() recordKey {
+	var buf [128]byte
+	b := append(buf[:0], rec.App...)
+	b = append(b, '|')
 	for i, v := range rec.Params {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(rec.Scale))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatFloat(rec.Runtime, 'g', -1, 64))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(rec.Rep))
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(rec.Scale), 10)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, rec.Runtime, 'g', -1, 64)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(rec.Rep), 10)
+	return sha256.Sum256(b)
+}
+
+// Hash returns the record's content hash (hex), the dedup key.
+func (rec Record) Hash() string {
+	k := rec.key()
+	return hex.EncodeToString(k[:])
 }
 
 // OpenStore opens (creating if needed) a store rooted at dir and
@@ -94,32 +115,36 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Refresh re-indexes the store from disk, picking up partitions and
-// records appended by other processes (e.g. `pipeline ingest` feeding a
-// server's embedded pipeline). Partition files are append-only and every
-// in-process Append reaches disk before returning, so a rescan is the
-// authoritative state; on error the previous index is kept.
+// Refresh brings the index up to date with the directory, picking up
+// partitions and records appended by other processes (e.g. `pipeline
+// ingest` feeding a server's embedded pipeline). Partition files only
+// grow between rewrites, so Refresh reads each one from where the index
+// ends: an unchanged file costs one stat, a grown one only its new
+// lines. A file that shrank or was replaced (another process's Compact)
+// is read whole. On error the partition at fault keeps its index.
 func (s *Store) Refresh() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.scanLocked()
 }
 
-// scanLocked rebuilds the partition index from the directory. Callers
-// hold s.mu (or own the store exclusively, as in OpenStore). The index
-// is replaced only after every partition read cleanly.
+// scanLocked brings every partition's index up to date with its file
+// (readPartition) and drops partitions whose file is gone. Callers hold
+// s.mu (or own the store exclusively, as in OpenStore). The set of
+// partitions changes only after every partition read cleanly.
 func (s *Store) scanLocked() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
 	}
-	apps := map[string]*appPartition{}
+	apps := make(map[string]*appPartition, len(s.apps))
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
 			continue
 		}
 		app := strings.TrimSuffix(e.Name(), ".jsonl")
-		part, torn, err := readPartition(filepath.Join(s.dir, e.Name()), app)
+		part, n, torn, err := readPartition(filepath.Join(s.dir, e.Name()), app, s.apps[app])
+		s.parsed += n
 		if err != nil {
 			return err
 		}
@@ -144,12 +169,44 @@ func (s *Store) TornTails() []TornTail {
 	return out
 }
 
-// readPartition loads and indexes one partition file. A torn last line
-// is cut off and reported; a file that held only a torn header is
-// removed, and comes back as a nil partition.
-func readPartition(path, app string) (*appPartition, *TornTail, error) {
-	var part *appPartition
-	torn, err := scanLines(path, func(b []byte) error {
+// readPartition brings prev, app's index (nil: none yet), up to date
+// with the partition file at path, and returns the index and how many
+// bytes it parsed. An unchanged file costs one stat; a grown one is read
+// from prev.off on, extending prev in place; a new, replaced or shrunk
+// one is read whole into a new index. A torn last line is cut off and
+// reported. A file without a header line — empty, or holding only a torn
+// header, as a crash between creating and writing it leaves — is
+// removed and comes back as a nil partition, as does one whose header
+// is still being written. On error prev is left as it was.
+func readPartition(path, app string, prev *appPartition) (*appPartition, int64, *TornTail, error) {
+	if prev != nil {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if os.SameFile(fi, prev.file) && fi.Size() == prev.off {
+			return prev, 0, nil, nil
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	part := prev
+	if part != nil && (!os.SameFile(fi, part.file) || fi.Size() < part.off) {
+		part = nil
+	}
+	var from int64
+	kept := 0 // records part held before this read
+	if part != nil {
+		from, kept = part.off, len(part.records)
+	}
+	end, torn, err := scanLines(f, from, func(b []byte) error {
 		if part == nil {
 			var hdr storeHeader
 			if err := json.Unmarshal(b, &hdr); err != nil {
@@ -158,7 +215,7 @@ func readPartition(path, app string) (*appPartition, *TornTail, error) {
 			if hdr.App != app {
 				return fmt.Errorf("header names app %q, file is partition %q", hdr.App, app)
 			}
-			part = &appPartition{paramNames: hdr.ParamNames, hashes: map[string]bool{}}
+			part = &appPartition{paramNames: hdr.ParamNames, hashes: map[recordKey]bool{}, file: fi}
 			return nil
 		}
 		var rec Record
@@ -169,26 +226,39 @@ func readPartition(path, app string) (*appPartition, *TornTail, error) {
 		if len(rec.Params) != len(part.paramNames) {
 			return fmt.Errorf("%d params, partition has %d columns", len(rec.Params), len(part.paramNames))
 		}
-		h := rec.Hash()
-		if part.hashes[h] {
+		k := rec.key()
+		if part.hashes[k] {
 			return nil // duplicate left behind before a Compact
 		}
-		part.hashes[h] = true
+		part.hashes[k] = true
 		part.records = append(part.records, rec)
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		if part == prev && prev != nil {
+			for _, rec := range prev.records[kept:] {
+				delete(prev.hashes, rec.key())
+			}
+			prev.records = prev.records[:kept]
+		}
+		return nil, 0, nil, err
 	}
+	parsed := end - from
 	if part == nil {
-		if torn == nil {
-			return nil, nil, fmt.Errorf("pipeline: %s: empty partition file", path)
+		if torn == nil && end > 0 {
+			return nil, parsed, nil, fmt.Errorf("pipeline: %s: no header line", path)
 		}
-		if err := os.Remove(path); err != nil {
-			return nil, nil, err
+		removed, err := removeUnchanged(f, end)
+		if err != nil {
+			return nil, parsed, nil, err
 		}
+		if removed && torn == nil {
+			torn = &TornTail{Path: path, Err: errors.New("empty partition file")}
+		}
+		return nil, parsed, torn, nil
 	}
-	return part, torn, nil
+	part.off = end
+	return part, parsed, torn, nil
 }
 
 // path returns the partition file for app.
@@ -216,79 +286,141 @@ func validAppName(app string) error {
 
 // Append adds one record to app's partition, creating the partition
 // (with the given parameter columns) on first use. It returns false
-// when the record is a duplicate of one already stored. The write is
-// flushed and fsync'd before Append returns.
+// when the record is a duplicate of one already stored. It is the
+// one-record batch of appendBatch: the write is fsync'd before Append
+// returns.
 func (s *Store) Append(paramNames []string, rec Record) (bool, error) {
-	if err := validAppName(rec.App); err != nil {
-		return false, err
+	n, err := s.appendBatch(paramNames, []Record{rec})
+	return n == 1, err
+}
+
+// appendBatch adds recs, which all belong to one application, to that
+// application's partition, creating the partition (with the given
+// parameter columns, its header in the same write) on first use, and
+// returns how many were new. A record that duplicates a stored one, or
+// an earlier one of recs, is skipped. The new lines reach the file with
+// one write and one fsync (appendLines), and appendBatch returns only
+// after that fsync; the file bytes are those of one Append per record.
+// If the file held lines this index has not read, the batch follows
+// them, and the index leaves both to Refresh, which reads them in file
+// order.
+func (s *Store) appendBatch(paramNames []string, recs []Record) (int, error) {
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	app := recs[0].App
+	if err := validAppName(app); err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	part, ok := s.apps[rec.App]
-	if !ok {
+	part, known := s.apps[app]
+	if !known && fileExists(s.path(app)) {
+		// Another store created the partition since this one last read
+		// the directory: read it, and append behind what it holds.
+		if err := s.scanLocked(); err != nil {
+			return 0, err
+		}
+		part, known = s.apps[app]
+	}
+	var buf []byte
+	if !known {
 		if len(paramNames) == 0 {
-			return false, fmt.Errorf("pipeline: first record for %q needs parameter names", rec.App)
+			return 0, fmt.Errorf("pipeline: first record for %q needs parameter names", app)
 		}
-		hdr, err := json.Marshal(storeHeader{App: rec.App, ParamNames: paramNames})
+		hdr, err := json.Marshal(storeHeader{App: app, ParamNames: paramNames})
 		if err != nil {
-			return false, err
+			return 0, err
 		}
-		if err := appendLine(s.path(rec.App), hdr, true); err != nil {
-			return false, err
+		buf = append(hdr, '\n')
+		part = &appPartition{paramNames: append([]string(nil), paramNames...), hashes: map[recordKey]bool{}}
+	}
+	for _, rec := range recs {
+		if rec.App != app {
+			return 0, fmt.Errorf("pipeline: one batch holds records for %q and %q", app, rec.App)
 		}
-		part = &appPartition{paramNames: append([]string(nil), paramNames...), hashes: map[string]bool{}}
-		s.apps[rec.App] = part
+		if len(rec.Params) != len(part.paramNames) {
+			return 0, fmt.Errorf("pipeline: record for %q has %d params, partition has %d columns (%v)",
+				app, len(rec.Params), len(part.paramNames), part.paramNames)
+		}
 	}
-	if len(rec.Params) != len(part.paramNames) {
-		return false, fmt.Errorf("pipeline: record for %q has %d params, partition has %d columns (%v)",
-			rec.App, len(rec.Params), len(part.paramNames), part.paramNames)
+	fresh := make([]Record, 0, len(recs))
+	keys := make([]recordKey, 0, len(recs))
+	for _, rec := range recs {
+		k := rec.key()
+		if part.hashes[k] {
+			continue
+		}
+		part.hashes[k] = true // claimed: a later copy in recs is a duplicate
+		fileRec := rec
+		fileRec.App = "" // implied by the partition; keeps lines compact
+		line, err := json.Marshal(fileRec)
+		if err != nil {
+			part.unclaim(keys)
+			return 0, err
+		}
+		buf = append(append(buf, line...), '\n')
+		fresh = append(fresh, rec)
+		keys = append(keys, k)
 	}
-	h := rec.Hash()
-	if part.hashes[h] {
-		return false, nil
+	if len(fresh) == 0 {
+		return 0, nil
 	}
-	fileRec := rec
-	fileRec.App = "" // implied by the partition; keeps lines compact
-	line, err := json.Marshal(fileRec)
+	caughtUp, err := appendLines(s.path(app), buf, !known, part.file, part.off)
 	if err != nil {
-		return false, err
+		part.unclaim(keys)
+		return 0, err
 	}
-	if err := appendLine(s.path(rec.App), line, false); err != nil {
-		return false, err
+	if !caughtUp {
+		part.unclaim(keys)
+		return len(fresh), nil
 	}
-	part.hashes[h] = true
-	part.records = append(part.records, rec)
-	return true, nil
+	if !known {
+		// The file this batch created, or the Compact of it by a store
+		// that has read the batch, which begins with the same bytes.
+		fi, err := os.Stat(s.path(app))
+		if err != nil {
+			return len(fresh), nil // written and synced: Refresh reads it
+		}
+		part.file = fi
+		s.apps[app] = part
+	}
+	part.records = append(part.records, fresh...)
+	part.off += int64(len(buf))
+	return len(fresh), nil
 }
 
-// ImportTable appends every run of a dataset table under its App name,
-// returning how many records were new vs. deduplicated. Runs that
-// repeat a byte-identical measurement within the table get ascending
-// repetition indices, so legitimate repeats are all stored while a
-// re-import of the same table stays a no-op.
-func (s *Store) ImportTable(t *dataset.Table) (added, skipped int, err error) {
-	seen := map[string]int{}
-	for _, run := range t.Runs {
-		key := Record{Params: run.Params, Scale: run.Scale, Runtime: run.Runtime}.Hash()
-		rep := seen[key]
-		seen[key] = rep + 1
-		ok, err := s.Append(t.ParamNames, Record{
-			App: t.App, Params: run.Params, Scale: run.Scale, Runtime: run.Runtime, Rep: rep,
-		})
-		if err != nil {
-			return added, skipped, err
-		}
-		if ok {
-			added++
-		} else {
-			skipped++
-		}
+// unclaim drops keys appendBatch claimed for records it did not index.
+func (part *appPartition) unclaim(keys []recordKey) {
+	for _, k := range keys {
+		delete(part.hashes, k)
 	}
-	return added, skipped, nil
+}
+
+// ImportTable appends every run of a dataset table under its App name
+// as one batch, returning how many records were new vs. deduplicated.
+// Runs that repeat a byte-identical measurement within the table get
+// ascending repetition indices, so legitimate repeats are all stored
+// while a re-import of the same table stays a no-op.
+func (s *Store) ImportTable(t *dataset.Table) (added, skipped int, err error) {
+	recs := make([]Record, len(t.Runs))
+	seen := make(map[recordKey]int, len(t.Runs))
+	for i, run := range t.Runs {
+		rec := Record{Params: run.Params, Scale: run.Scale, Runtime: run.Runtime}
+		k := rec.key()
+		rec.App, rec.Rep = t.App, seen[k]
+		seen[k]++
+		recs[i] = rec
+	}
+	added, err = s.appendBatch(t.ParamNames, recs)
+	if err != nil {
+		return 0, 0, err
+	}
+	return added, len(recs) - added, nil
 }
 
 // ImportCSV reads an execution-history CSV (the dataset package's
-// format) and appends its runs.
+// format) and appends its runs as one batch.
 func (s *Store) ImportCSV(path string) (added, skipped int, err error) {
 	t, err := dataset.LoadCSV(path)
 	if err != nil {
@@ -354,7 +486,10 @@ func (s *Store) Table(app string) (*dataset.Table, bool) {
 // Compact rewrites app's partition file from the in-memory index —
 // dropping any duplicate lines a crashed retry may have left — using
 // the temp+rename idiom, so concurrent readers of the file never see a
-// torn state.
+// torn state. The index must cover the whole file (Refresh first): the
+// rewrite holds the appenders' lock on the file it replaces, so no
+// append can land there unseen, and appenders that waited on the lock
+// write to the new file.
 func (s *Store) Compact(app string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -363,6 +498,18 @@ func (s *Store) Compact(app string) error {
 		return fmt.Errorf("pipeline: unknown app %q", app)
 	}
 	path := s.path(app)
+	old, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer old.Close() // releases the lock, after the rename
+	cur, err := lockCurrent(old, path)
+	if err != nil {
+		return err
+	}
+	if cur == nil || !os.SameFile(cur, part.file) || cur.Size() != part.off {
+		return fmt.Errorf("pipeline: %s changed since this store read it; Refresh before Compact", path)
+	}
 	tmp, err := os.CreateTemp(s.dir, "."+app+".jsonl.tmp-*")
 	if err != nil {
 		return err
@@ -383,6 +530,10 @@ func (s *Store) Compact(app string) error {
 	if err := tmp.Sync(); err != nil {
 		return err
 	}
+	fi, err := tmp.Stat()
+	if err != nil {
+		return err
+	}
 	// CreateTemp uses 0600; match the permissions of a fresh partition.
 	if err := tmp.Chmod(0o644); err != nil {
 		return err
@@ -396,6 +547,7 @@ func (s *Store) Compact(app string) error {
 		_ = os.Remove(name)
 		return err
 	}
+	part.file, part.off = fi, fi.Size()
 	return nil
 }
 
