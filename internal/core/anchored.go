@@ -16,12 +16,8 @@ import (
 func (m *TwoLevelModel) fitAnchored(r *rng.Source, td trainData) error {
 	cfg := m.Cfg
 	nA := len(td.anchorIdx)
-	k := len(cfg.SmallScales)
 
-	feat := mat.NewDense(nA, k)
-	for a, i := range td.anchorIdx {
-		copy(feat.Row(a), m.extrapCurve(td, i))
-	}
+	feat := m.extrapCurves(td, td.anchorIdx)
 	targets := mat.NewDense(nA, len(cfg.LargeScales))
 	for a := range td.anchorIdx {
 		copy(targets.Row(a), td.large[a])

@@ -19,12 +19,12 @@ import (
 func (m *TwoLevelModel) fitBasis(r *rng.Source, td trainData) error {
 	cfg := m.Cfg
 	n := len(td.params)
-	k := len(cfg.SmallScales)
 
-	curves := mat.NewDense(n, k)
-	for i := range td.params {
-		copy(curves.Row(i), m.extrapCurve(td, i))
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
+	curves := m.extrapCurves(td, all)
 	labels, nClusters := m.clusterCurves(r, curves)
 
 	phi := designMatrix(cfg.Basis, cfg.SmallScales)

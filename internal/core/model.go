@@ -222,14 +222,23 @@ func (m *TwoLevelModel) compile() {
 // Deprecated: Fit and Read compile; this does nothing.
 func (m *TwoLevelModel) Compile() {}
 
-// extrapCurve returns the extrapolation-level feature curve for training
-// config i: the interpolation level's predictions (deployment-consistent)
-// or the measured curve under the ablation.
-func (m *TwoLevelModel) extrapCurve(td trainData, i int) []float64 {
+// extrapCurves returns the extrapolation-level feature curves of the
+// training configs idx, one row each: the interpolation level's
+// predictions (deployment-consistent) or the measured curves under the
+// ablation.
+func (m *TwoLevelModel) extrapCurves(td trainData, idx []int) *mat.Dense {
 	if m.Cfg.FeaturesFromMeasurements {
-		return td.small[i]
+		out := mat.NewDense(len(idx), len(m.Cfg.SmallScales))
+		for a, i := range idx {
+			copy(out.Row(a), td.small[i])
+		}
+		return out
 	}
-	return m.PredictSmall(td.params[i])
+	rows := make([][]float64, len(idx))
+	for a, i := range idx {
+		rows[a] = td.params[i]
+	}
+	return m.predictSmallBatch(rows)
 }
 
 // clusterCurves runs shape k-means over the given curves, merges tiny
@@ -363,6 +372,37 @@ func (m *TwoLevelModel) PredictSmallInto(params, dst []float64) []float64 {
 		dst[i] = v
 	}
 	return dst
+}
+
+// predictSmallBatch returns the interpolation level's small-scale curves
+// for every row (len(rows) × len(Cfg.SmallScales)), bit-identical to
+// PredictSmall per row. Each compiled forest walks all rows at once with
+// treec's blocked kernel, so the forest's node tables stream through
+// the cache once per block of rows rather than once per row.
+func (m *TwoLevelModel) predictSmallBatch(rows [][]float64) *mat.Dense {
+	out := mat.NewDense(len(rows), len(m.compiled))
+	if len(rows) == 0 || len(m.compiled) == 0 {
+		return out
+	}
+	cols := m.compiled[0].E.Features
+	x := mat.NewDense(len(rows), cols)
+	for i, row := range rows {
+		if len(row) != cols {
+			panic(fmt.Sprintf("core: row %d has %d features, model has %d", i, len(row), cols))
+		}
+		copy(x.Row(i), row)
+	}
+	col := make([]float64, len(rows))
+	for j, f := range m.compiled {
+		f.PredictBatch(x, col)
+		for i, v := range col {
+			if m.Cfg.LogInterpolation {
+				v = math.Exp(v)
+			}
+			out.Set(i, j, v)
+		}
+	}
+	return out
 }
 
 // Predict returns predicted runtimes at every target scale (aligned with

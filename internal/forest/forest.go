@@ -137,6 +137,9 @@ const predictBlock = 128
 // nil dst is allocated. With a non-nil dst the call performs no
 // allocations. Results are bit-identical to calling Predict per row:
 // per-tree predictions are accumulated in tree order and divided once.
+// Production batches run the compiled form (treec.Forest.PredictBatch,
+// via core.TwoLevelModel.EvaluateBatch); this pointer walk is the oracle
+// the compiled kernel is tested and timed against.
 func (f *Forest) PredictBatch(x *mat.Dense, dst []float64) []float64 {
 	if x.Cols != f.Features {
 		panic(fmt.Sprintf("forest: predict with %d features, forest has %d", x.Cols, f.Features))

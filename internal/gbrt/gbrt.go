@@ -123,53 +123,3 @@ func (m *Model) Predict(v []float64) float64 {
 	}
 	return s
 }
-
-// predictBlock is the row-block size for batch prediction; see the
-// identical blocking in forest.PredictBatch.
-const predictBlock = 128
-
-// PredictBatch fills dst with predictions for every row of x. With a
-// non-nil dst the call performs no allocations, and results are
-// bit-identical to calling Predict per row (same accumulation order).
-func (m *Model) PredictBatch(x *mat.Dense, dst []float64) []float64 {
-	if x.Cols != m.Features {
-		panic(fmt.Sprintf("gbrt: predict with %d features, model has %d", x.Cols, m.Features))
-	}
-	if dst == nil {
-		dst = make([]float64, x.Rows)
-	}
-	if len(dst) != x.Rows {
-		panic("gbrt: PredictBatch dst length mismatch")
-	}
-	data := x.Data
-	cols := x.Cols
-	for b := 0; b < x.Rows; b += predictBlock {
-		be := b + predictBlock
-		if be > x.Rows {
-			be = x.Rows
-		}
-		for i := b; i < be; i++ {
-			dst[i] = m.Base
-		}
-		for _, t := range m.Trees {
-			nodes := t.Nodes
-			for i := b; i < be; i++ {
-				row := data[i*cols : i*cols+cols]
-				j := int32(0)
-				for {
-					n := &nodes[j]
-					if n.Feature < 0 {
-						dst[i] += m.Shrinkage * n.Value
-						break
-					}
-					if row[n.Feature] <= n.Threshold {
-						j = n.Left
-					} else {
-						j = n.Right
-					}
-				}
-			}
-		}
-	}
-	return dst
-}

@@ -21,12 +21,21 @@ func waveData(r *rng.Source, n int) (*mat.Dense, []float64) {
 	return x, y
 }
 
+// predictRows predicts every row of x.
+func predictRows(m *Model, x *mat.Dense) []float64 {
+	out := make([]float64, x.Rows)
+	for i := range out {
+		out[i] = m.Predict(x.Row(i))
+	}
+	return out
+}
+
 func TestFitAccuracy(t *testing.T) {
 	r := rng.New(1)
 	xTr, yTr := waveData(r, 500)
 	xTe, yTe := waveData(r, 200)
 	m := Fit(xTr, yTr, Defaults(), nil)
-	pred := m.PredictBatch(xTe, nil)
+	pred := predictRows(m, xTe)
 	if r2 := stats.R2(yTe, pred); r2 < 0.95 {
 		t.Fatalf("GBRT R2 = %v", r2)
 	}
@@ -40,7 +49,7 @@ func TestMoreRoundsReduceTrainingError(t *testing.T) {
 		p := Defaults()
 		p.Rounds = rounds
 		m := Fit(x, y, p, nil)
-		e := stats.RMSE(y, m.PredictBatch(x, nil))
+		e := stats.RMSE(y, predictRows(m, x))
 		if e > prev+1e-9 {
 			t.Fatalf("training error rose: %v -> %v at %d rounds", prev, e, rounds)
 		}
@@ -88,7 +97,7 @@ func TestSubsampleStillLearns(t *testing.T) {
 	p := Defaults()
 	p.Subsample = 0.6
 	m := Fit(xTr, yTr, p, r)
-	pred := m.PredictBatch(xTe, nil)
+	pred := predictRows(m, xTe)
 	if r2 := stats.R2(yTe, pred); r2 < 0.9 {
 		t.Fatalf("subsampled GBRT R2 = %v", r2)
 	}
@@ -104,8 +113,8 @@ func TestShrinkageTradeoff(t *testing.T) {
 	pFast := Defaults()
 	pFast.Rounds = 10
 	pFast.Shrinkage = 0.5
-	eSlow := stats.RMSE(y, Fit(x, y, pSlow, nil).PredictBatch(x, nil))
-	eFast := stats.RMSE(y, Fit(x, y, pFast, nil).PredictBatch(x, nil))
+	eSlow := stats.RMSE(y, predictRows(Fit(x, y, pSlow, nil), x))
+	eFast := stats.RMSE(y, predictRows(Fit(x, y, pFast, nil), x))
 	if eFast >= eSlow {
 		t.Fatalf("shrinkage 0.5 (%v) not faster-fitting than 0.01 (%v) at 10 rounds", eFast, eSlow)
 	}
@@ -142,35 +151,5 @@ func BenchmarkFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Fit(x, y, p, nil)
-	}
-}
-
-// friedmanBench mirrors the friedman generator used by the forest and
-// treec bench suites, so BenchmarkGBRTPredictBatch runs on the same data
-// as BenchmarkForestPredictBatch (internal/forest) and its compiled twin
-// (internal/treec).
-func friedmanBench(r *rng.Source, n int) (*mat.Dense, []float64) {
-	x := mat.NewDense(n, 6)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 6; j++ {
-			x.Set(i, j, r.Float64())
-		}
-		y[i] = 10*math.Sin(math.Pi*x.At(i, 0)*x.At(i, 1)) +
-			20*math.Pow(x.At(i, 2)-0.5, 2) +
-			10*x.At(i, 3) + 5*x.At(i, 4) + 0.1*r.Norm()
-	}
-	return x, y
-}
-
-func BenchmarkGBRTPredictBatch(b *testing.B) {
-	r := rng.New(1)
-	x, y := friedmanBench(r, 2000)
-	m := Fit(x, y, Defaults(), r)
-	dst := make([]float64, x.Rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictBatch(x, dst)
 	}
 }

@@ -92,16 +92,5 @@ func (r *Regressor) Predict(v []float64) float64 {
 	return num / den
 }
 
-// PredictBatch fills dst with predictions for every row of x.
-func (r *Regressor) PredictBatch(x *mat.Dense, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, x.Rows)
-	}
-	for i := 0; i < x.Rows; i++ {
-		dst[i] = r.Predict(x.Row(i))
-	}
-	return dst
-}
-
 // K returns the neighbour count.
 func (r *Regressor) K() int { return r.k }

@@ -45,7 +45,10 @@ func TestSmoothInterpolation(t *testing.T) {
 	x, y := linData(r, 400)
 	xTe, yTe := linData(r, 100)
 	m := New(x, y, 5, false)
-	pred := m.PredictBatch(xTe, nil)
+	pred := make([]float64, xTe.Rows)
+	for i := range pred {
+		pred[i] = m.Predict(xTe.Row(i))
+	}
 	if r2 := stats.R2(yTe, pred); r2 < 0.95 {
 		t.Fatalf("kNN interpolation R2 = %v", r2)
 	}

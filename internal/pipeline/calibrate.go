@@ -27,21 +27,14 @@ func calibrate(m *core.TwoLevelModel, holdout *dataset.Table) *uncertainty.Calib
 		scaleIdx[s] = i
 	}
 	cal := uncertainty.NewCalibrator(scales, m.Clusters())
-	for _, c := range holdout.GroupByConfig() {
-		predicted := false
-		for s := range c.Runtimes {
-			if _, ok := scaleIdx[s]; ok {
-				predicted = true
-				break
-			}
-		}
-		if !predicted {
-			continue // nothing measured at a target scale; skip the predict
-		}
-		ev := m.Evaluate(c.Params, 0)
+	configs := holdout.GroupByConfig()
+	// One batch evaluation of the configurations measured at a target
+	// scale; the rest are skipped and add nothing below.
+	evs := evaluateMeasured(m, configs, scales)
+	for j, c := range configs {
 		for s, actual := range c.Runtimes {
 			if i, ok := scaleIdx[s]; ok {
-				cal.Add(ev.Cluster, i, ev.Runtimes[i], actual)
+				cal.Add(evs[j].Cluster, i, evs[j].Runtimes[i], actual)
 			}
 		}
 	}

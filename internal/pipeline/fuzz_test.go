@@ -19,8 +19,9 @@ import (
 // Refresh reads a file that grew between scans, and must come out as a
 // one-pass read of the same bytes. The committed seeds (testdata/fuzz)
 // cover a valid file, a torn last line, a torn lone first line, a
-// malformed middle line, an empty file, and splits inside a record and
-// just before a newline; the over-long line is built here, because a
+// malformed middle line, a record glued onto a torn line (what an
+// append that did not settle the tail first wrote), an empty file, and
+// splits inside a record and just before a newline; the over-long line is built here, because a
 // line past the scanner's 4 MiB limit is too large to commit.
 
 // overlongLine returns prefix followed by one line longer than

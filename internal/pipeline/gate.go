@@ -127,10 +127,14 @@ func evaluateGate(cand, inc *core.TwoLevelModel, holdout *dataset.Table, scales 
 	var candAll, incAll, trueAll []float64
 	configs := holdout.GroupByConfig()
 	measured := map[string]bool{}
-	// Each model evaluates a held-out configuration once, on first use,
-	// and answers every scale from that evaluation.
-	candEvals := make([]core.Eval, len(configs))
-	incEvals := make([]core.Eval, len(configs))
+	// Each model evaluates every held-out configuration measured at a
+	// gate scale once, up front and as one batch, and answers every scale
+	// from that evaluation.
+	candEvals := evaluateMeasured(cand, configs, scales)
+	var incEvals []core.Eval
+	if inc != nil {
+		incEvals = evaluateMeasured(inc, configs, scales)
+	}
 	for _, scale := range scales {
 		var yTrue, yCand, yInc []float64
 		for i, c := range configs {
@@ -140,9 +144,9 @@ func evaluateGate(cand, inc *core.TwoLevelModel, holdout *dataset.Table, scales 
 			}
 			measured[dataset.ParamKey(c.Params)] = true
 			yTrue = append(yTrue, rt)
-			yCand = append(yCand, predictAt(cand, &candEvals[i], c.Params, scale))
+			yCand = append(yCand, predictAt(cand, &candEvals[i], scale))
 			if inc != nil {
-				yInc = append(yInc, predictAt(inc, &incEvals[i], c.Params, scale))
+				yInc = append(yInc, predictAt(inc, &incEvals[i], scale))
 			}
 		}
 		if len(yTrue) == 0 {
@@ -201,14 +205,34 @@ func evaluateGate(cand, inc *core.TwoLevelModel, holdout *dataset.Table, scales 
 	return res
 }
 
-// predictAt answers one model at one scale from the configuration's
-// evaluation, running it into ev on first use. A model whose target set
-// does not include the scale gives NaN, a pessimal error, instead of
-// aborting the gate.
-func predictAt(m *core.TwoLevelModel, ev *core.Eval, params []float64, scale int) float64 {
-	if ev.Runtimes == nil {
-		*ev = m.Evaluate(params, 0)
+// evaluateMeasured evaluates m on every configuration measured at one
+// of the scales, in one batch; the result is aligned with configs, and
+// an entry for a configuration measured at none of them stays zero.
+func evaluateMeasured(m *core.TwoLevelModel, configs []dataset.Config, scales []int) []core.Eval {
+	var idx []int
+	var rows [][]float64
+	for i, c := range configs {
+		for _, s := range scales {
+			if _, ok := c.Runtimes[s]; ok {
+				idx = append(idx, i)
+				rows = append(rows, c.Params)
+				break
+			}
+		}
 	}
+	batch := make([]core.Eval, len(rows))
+	m.EvaluateBatch(rows, 0, batch)
+	evs := make([]core.Eval, len(configs))
+	for j, i := range idx {
+		evs[i] = batch[j]
+	}
+	return evs
+}
+
+// predictAt answers one model at one scale from the configuration's
+// evaluation. A model whose target set does not include the scale gives
+// NaN, a pessimal error, instead of aborting the gate.
+func predictAt(m *core.TwoLevelModel, ev *core.Eval, scale int) float64 {
 	v, err := m.PredictAt(ev, scale)
 	if err != nil {
 		return math.NaN()

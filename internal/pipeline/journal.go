@@ -84,8 +84,8 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	defer f.Close()
 	_, torn, err := scanLines(f, 0, func(b []byte) error {
-		var e Entry
-		if err := json.Unmarshal(b, &e); err != nil {
+		e, err := parseEntry(b)
+		if err != nil {
 			return err
 		}
 		j.entries = append(j.entries, e)
@@ -97,6 +97,13 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	j.torn = torn
 	return j, nil
+}
+
+// parseEntry parses one journal line.
+func parseEntry(b []byte) (Entry, error) {
+	var e Entry
+	err := json.Unmarshal(b, &e)
+	return e, err
 }
 
 // Torn returns the torn last line OpenJournal cut off, or nil.
@@ -123,7 +130,11 @@ func (j *Journal) Append(e Entry) error {
 	if err != nil {
 		return err
 	}
-	if _, err := appendLines(j.path, append(line, '\n'), !fileExists(j.path), nil, 0); err != nil {
+	isEntry := func(b []byte) error {
+		_, err := parseEntry(b)
+		return err
+	}
+	if _, err := appendLines(j.path, append(line, '\n'), !fileExists(j.path), nil, 0, isEntry); err != nil {
 		return err
 	}
 	j.entries = append(j.entries, e)

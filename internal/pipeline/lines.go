@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -126,13 +127,17 @@ func repairTail(f *os.File, start, end int64, line []byte, fn func([]byte) error
 // repairing a torn tail never mistakes lines in flight for one (see
 // repairTail), and only into the file path names once the lock is held,
 // so lines never land in a file a reader removed (removeUnchanged) or a
-// Compact replaced while the appender waited. appendLines reports
-// whether, under the lock, the file was view and off bytes long (a new
-// file counts as caught up): whether the caller's view of the file had
-// reached its end. A write or fsync that fails is undone, so the
-// caller's error means the lines are gone.
-func appendLines(path string, buf []byte, create bool, view os.FileInfo, off int64) (caughtUp bool, err error) {
-	flags := os.O_WRONLY | os.O_APPEND
+// Compact replaced while the appender waited. A file that ends in an
+// unterminated line (a crashed appender's, not read yet) has it settled
+// first, as repairTail would: a line parse accepts gets its newline,
+// ahead of buf in the same write; any other is cut off, so buf never
+// glues onto a torn line. appendLines reports whether, under the lock,
+// the file was view and off bytes long once settled (a new file counts
+// as caught up): whether the caller's view of the file had reached its
+// end. A write or fsync that fails is undone, so the caller's error
+// means the lines are gone.
+func appendLines(path string, buf []byte, create bool, view os.FileInfo, off int64, parse func([]byte) error) (caughtUp bool, err error) {
+	flags := os.O_RDWR | os.O_APPEND
 	if create {
 		flags |= os.O_CREATE | os.O_EXCL
 	}
@@ -162,6 +167,39 @@ func appendLines(path string, buf []byte, create bool, view os.FileInfo, off int
 			}
 			continue // removed or replaced while this appender waited
 		}
+		// Settle an unterminated last line, inline for the reason above.
+		size := before.Size()
+		var last [1]byte
+		if size > 0 {
+			if _, err := f.ReadAt(last[:], size-1); err != nil {
+				_ = f.Close()
+				return false, err
+			}
+		}
+		if size > 0 && last[0] != '\n' {
+			start := size // the unterminated line is [start, size)
+			var line []byte
+			for start > 0 && bytes.IndexByte(line, '\n') < 0 {
+				n := min(start, 64<<10)
+				chunk := make([]byte, n)
+				if _, err := f.ReadAt(chunk, start-n); err != nil {
+					_ = f.Close()
+					return false, err
+				}
+				line, start = append(chunk, line...), start-n
+			}
+			if i := bytes.LastIndexByte(line, '\n'); i >= 0 {
+				line, start = line[i+1:], start+int64(i)+1
+			}
+			if parse(line) == nil {
+				buf = append([]byte{'\n'}, buf...)
+			} else if err := f.Truncate(start); err != nil {
+				_ = f.Close()
+				return false, err
+			} else {
+				size = start
+			}
+		}
 		_, err = f.Write(buf)
 		if err == nil {
 			err = f.Sync()
@@ -171,12 +209,12 @@ func appendLines(path string, buf []byte, create bool, view os.FileInfo, off int
 			if create {
 				_ = os.Remove(path)
 			} else {
-				_ = f.Truncate(before.Size())
+				_ = f.Truncate(size)
 			}
 			_ = f.Close()
 			return false, err
 		}
-		return create || (os.SameFile(before, view) && before.Size() == off), f.Close()
+		return create || (os.SameFile(before, view) && size == off), f.Close()
 	}
 }
 

@@ -218,14 +218,11 @@ func readPartition(path, app string, prev *appPartition) (*appPartition, int64, 
 			part = &appPartition{paramNames: hdr.ParamNames, hashes: map[recordKey]bool{}, file: fi}
 			return nil
 		}
-		var rec Record
-		if err := json.Unmarshal(b, &rec); err != nil {
+		rec, err := part.parseRecord(b)
+		if err != nil {
 			return err
 		}
 		rec.App = app
-		if len(rec.Params) != len(part.paramNames) {
-			return fmt.Errorf("%d params, partition has %d columns", len(rec.Params), len(part.paramNames))
-		}
 		k := rec.key()
 		if part.hashes[k] {
 			return nil // duplicate left behind before a Compact
@@ -366,7 +363,11 @@ func (s *Store) appendBatch(paramNames []string, recs []Record) (int, error) {
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	caughtUp, err := appendLines(s.path(app), buf, !known, part.file, part.off)
+	isRecord := func(b []byte) error {
+		_, err := part.parseRecord(b)
+		return err
+	}
+	caughtUp, err := appendLines(s.path(app), buf, !known, part.file, part.off, isRecord)
 	if err != nil {
 		part.unclaim(keys)
 		return 0, err
@@ -388,6 +389,19 @@ func (s *Store) appendBatch(paramNames []string, recs []Record) (int, error) {
 	part.records = append(part.records, fresh...)
 	part.off += int64(len(buf))
 	return len(fresh), nil
+}
+
+// parseRecord parses one record line of the partition (without its
+// App, which the partition implies).
+func (part *appPartition) parseRecord(b []byte) (Record, error) {
+	var rec Record
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return Record{}, err
+	}
+	if len(rec.Params) != len(part.paramNames) {
+		return Record{}, fmt.Errorf("%d params, partition has %d columns", len(rec.Params), len(part.paramNames))
+	}
+	return rec, nil
 }
 
 // unclaim drops keys appendBatch claimed for records it did not index.

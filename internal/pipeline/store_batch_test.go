@@ -503,3 +503,86 @@ func TestRepairTailLeavesLineInFlight(t *testing.T) {
 		t.Fatalf("repairTail changed a file in flight: %q", got)
 	}
 }
+
+// TestAppendSettlesUnterminatedTail: an append to a file that ends in an
+// unterminated line no scan has settled yet — a crashed appender's,
+// written while this store was open — settles it first, as a reader
+// would: a torn line is cut, so the new record does not glue onto it
+// and turn it into a malformed middle line that fails every later
+// OpenStore; a whole record gets its newline and is kept. The journal
+// takes the same write path.
+func TestAppendSettlesUnterminatedTail(t *testing.T) {
+	cols := []string{"x"}
+	r := func(x float64) Record { return Record{App: "app", Params: []float64{x}, Scale: 2, Runtime: 1} }
+	for _, tc := range []struct {
+		name, tail string
+		want       []float64 // records after the second Append, in file order
+	}{
+		{"torn", `{"params":[2`, []float64{1, 3}},
+		{"torn past one read chunk", `{"params":[2,"` + strings.Repeat("x", 150<<10), []float64{1, 3}},
+		{"whole record", `{"params":[2],"scale":2,"runtime":1}`, []float64{1, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Append(cols, r(1)); err != nil {
+				t.Fatal(err)
+			}
+			clean := readFile(t, s.path("app"))
+			appendRaw(t, s.path("app"), tc.tail)
+			if ok, err := s.Append(cols, r(3)); err != nil || !ok {
+				t.Fatalf("Append after an unterminated tail = %v, %v", ok, err)
+			}
+			reopened, err := OpenStore(dir)
+			if err != nil {
+				t.Fatalf("OpenStore after the append: %v", err)
+			}
+			if torn := reopened.TornTails(); len(torn) != 0 {
+				t.Fatalf("TornTails = %v after the append settled the tail", torn)
+			}
+			tab, _ := reopened.Table("app")
+			var got []float64
+			for _, run := range tab.Runs {
+				got = append(got, run.Params[0])
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("records = %v, want %v", got, tc.want)
+			}
+			if tc.want[1] == 3 { // the torn tail is gone
+				line, _ := json.Marshal(Record{Params: []float64{3}, Scale: 2, Runtime: 1})
+				if want := append(clean, append(line, '\n')...); !bytes.Equal(readFile(t, s.path("app")), want) {
+					t.Fatalf("file %q, want the torn line gone: %q", readFile(t, s.path("app")), want)
+				}
+			}
+			if err := s.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			requireSameIndex(t, "after Refresh", s)
+		})
+	}
+
+	t.Run("journal", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(Entry{Gen: 1, App: "smg", Event: EventPromoted}); err != nil {
+			t.Fatal(err)
+		}
+		appendRaw(t, path, `{"gen":2,"app":"sm`)
+		if err := j.Append(Entry{Gen: 2, App: "smg", Event: EventPromoted}); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("OpenJournal after the append: %v", err)
+		}
+		if n := len(j2.Entries()); n != 2 || j2.Torn() != nil {
+			t.Fatalf("%d entries, torn %v; want 2 and none", n, j2.Torn())
+		}
+	})
+}

@@ -39,10 +39,46 @@ type cacheItem struct {
 // is closed (after val/err are set) when the computation finishes; a
 // channel rather than a WaitGroup so waiters can select against their
 // request context and abandon the wait without abandoning the compute.
+// owner identifies the batch that claimed it (nil for DoBytes).
 type flightCall struct {
-	done chan struct{}
+	key   string
+	owner *batchOwner
+	done  chan struct{}
+	val   any
+	err   error
+}
+
+// batchOwner identifies one batch's claims, so a key repeated inside
+// the batch resolves to the batch's own flight instead of waiting on it.
+// It is not zero-sized: distinct zero-size allocations may share an
+// address, and each batch needs a pointer of its own.
+type batchOwner struct{ _ byte }
+
+// claimKind is the outcome of claiming one key.
+type claimKind uint8
+
+const (
+	// claimHit: the value was cached.
+	claimHit claimKind = iota
+	// claimOwn: the caller must compute the value and fulfil the claim.
+	claimOwn
+	// claimRepeat: the key was claimed earlier by the same batch; it is
+	// counted as a hit, as a serial pass would find the earlier result
+	// cached, and resolves to that flight's result.
+	claimRepeat
+	// claimWait: another caller is computing the value; wait on it.
+	claimWait
+)
+
+// claim is one key's lookup result. fl is the flight to fulfil
+// (claimOwn; nil with caching disabled) or to read (claimRepeat,
+// claimWait); val is the cached value on a hit. A batch keeps an owned
+// claim's computed value and error in val and err.
+type claim struct {
+	kind claimKind
 	val  any
 	err  error
+	fl   *flightCall
 }
 
 // NewCache creates a cache holding at most capacity entries and
@@ -98,11 +134,32 @@ func (c *Cache) Get(key string) (any, bool) {
 // goroutine itself always runs fn to completion (the result is still
 // valuable to the cache and to other waiters), so fn needs no
 // cancellation plumbing of its own.
+//
+// DoBytes is claim, then fulfil or wait, for one key; a batch claims all
+// its keys first, computes what it owns together, fulfils every claim,
+// and only then waits (see Server.computeRange).
 func (c *Cache) DoBytes(ctx context.Context, key []byte, fn func() (any, error)) (any, bool, error) {
+	cl := c.claim(key, nil)
+	switch cl.kind {
+	case claimHit:
+		return cl.val, true, nil
+	case claimOwn:
+		v, err := fn()
+		c.fulfil(cl.fl, v, err)
+		return v, false, err
+	}
+	return c.wait(ctx, cl.fl)
+}
+
+// claim looks key up and counts the lookup: a hit, a miss the caller now
+// owns (registered as in flight, so concurrent callers coalesce on it),
+// a repeat of owner's own earlier claim, or a coalesced wait on another
+// caller's flight. With caching disabled every claim is an owned miss
+// with no flight. key may be reused after return.
+func (c *Cache) claim(key []byte, owner *batchOwner) claim {
 	if c.capacity <= 0 {
 		c.misses.Inc()
-		v, err := fn()
-		return v, false, err
+		return claim{kind: claimOwn}
 	}
 	c.mu.Lock()
 	// string(key) in a map index does not allocate.
@@ -111,37 +168,54 @@ func (c *Cache) DoBytes(ctx context.Context, key []byte, fn func() (any, error))
 		v := el.Value.(*cacheItem).val
 		c.mu.Unlock()
 		c.hits.Inc()
-		return v, true, nil
+		return claim{kind: claimHit, val: v}
+	}
+	if fl, ok := c.inflight[string(key)]; ok {
+		c.mu.Unlock()
+		if owner != nil && fl.owner == owner {
+			c.hits.Inc()
+			return claim{kind: claimRepeat, fl: fl}
+		}
+		c.coalesced.Inc()
+		return claim{kind: claimWait, fl: fl}
 	}
 	skey := string(key) // miss: materialize the key once
-	if fl, ok := c.inflight[skey]; ok {
-		c.mu.Unlock()
-		c.coalesced.Inc()
-		select {
-		case <-fl.done:
-			return fl.val, fl.err == nil, fl.err
-		case <-ctx.Done():
-			// Abandon the wait, not the computation: the owner still
-			// finishes and caches for the callers that remain.
-			c.abandoned.Inc()
-			return nil, false, ctx.Err()
-		}
-	}
-	fl := &flightCall{done: make(chan struct{})}
+	fl := &flightCall{key: skey, owner: owner, done: make(chan struct{})}
 	c.inflight[skey] = fl
 	c.mu.Unlock()
-
 	c.misses.Inc()
-	fl.val, fl.err = fn()
+	return claim{kind: claimOwn, fl: fl}
+}
 
+// fulfil completes an owned claim: a successful value is cached, and
+// every waiter is released with the value or error. A nil flight (caching
+// disabled) is a no-op.
+func (c *Cache) fulfil(fl *flightCall, val any, err error) {
+	if fl == nil {
+		return
+	}
+	fl.val, fl.err = val, err
 	c.mu.Lock()
-	delete(c.inflight, skey)
-	if fl.err == nil {
-		c.add(skey, fl.val)
+	delete(c.inflight, fl.key)
+	if err == nil {
+		c.add(fl.key, val)
 	}
 	c.mu.Unlock()
 	close(fl.done)
-	return fl.val, false, fl.err
+}
+
+// wait blocks until another caller fulfils fl, or until ctx ends: the
+// wait is abandoned, not the computation, which its owner still finishes
+// and caches for the callers that remain. The second return is true on
+// success (the value was not computed by this caller).
+func (c *Cache) wait(ctx context.Context, fl *flightCall) (any, bool, error) {
+	select {
+	case <-fl.done:
+		return fl.val, fl.err == nil, fl.err
+	case <-ctx.Done():
+		c.abandoned.Inc()
+		return nil, false, ctx.Err()
+	}
 }
 
 // add inserts under c.mu, evicting from the LRU tail past capacity.

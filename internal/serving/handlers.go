@@ -285,7 +285,7 @@ func modelInfo(e *Entry) ModelInfo {
 // predictReqPool recycles request objects so steady-state decoding
 // reuses the param/config slice capacity instead of regrowing it from
 // nothing on every request. Decoded slices are only valid until the
-// request returns; anything cached is copied (see computeResult).
+// request returns; anything cached is copied (see newResult).
 var predictReqPool = sync.Pool{New: func() any { return new(PredictRequest) }}
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, rt *obs.ReqTrace) {
@@ -489,45 +489,135 @@ func (s *Server) computeBatch(ctx context.Context, entry *Entry, req *PredictReq
 }
 
 // computeRange computes configs[lo:hi] into out, reusing kb as the cache
-// key buffer. It stops at the first error, returning its index. rt is
-// non-nil only for single-configuration requests, which get
-// cache_lookup / model_eval / calibration spans.
+// key buffer, and returns the index of the lowest failing configuration
+// with its error. rt is non-nil only for single-configuration requests,
+// which get cache_lookup / model_eval / calibration spans.
+//
+// One configuration goes through DoBytes and Evaluate. Several go in
+// three passes, so the model's forests are walked once for all the
+// range's misses (core.EvaluateBatch) rather than once per miss:
+//
+//  1. claim every key, in index order: hits are read, misses become this
+//     range's claims, keys another request is computing become waits;
+//  2. evaluate the claimed configurations as one batch and fulfil every
+//     claim, before waiting on anything — a range never waits while
+//     holding a claim, so overlapping batches cannot deadlock;
+//  3. unless ctx ended meanwhile, wait on the other requests' flights and
+//     fill out in index order.
+//
+// With the batch's entries fitting in the cache, the results, their
+// Cached flags and the cache counters are those of a serial DoBytes per
+// configuration: a key repeated inside the range counts as a hit, as the
+// serial pass would find the first occurrence's result cached.
 func (s *Server) computeRange(ctx context.Context, entry *Entry, req *PredictRequest, configs [][]float64, out []ConfigResult, lo, hi int, kb []byte, rt *obs.ReqTrace) (int, error) {
-	for i := lo; i < hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return i, err
-		}
-		cfg := configs[i]
+	if err := ctx.Err(); err != nil {
+		return lo, err
+	}
+	m := entry.Model
+	if hi-lo == 1 {
+		cfg := configs[lo]
 		kb = appendPredictKey(kb[:0], entry, req, cfg)
 		ls := rt.StartSpan()
 		v, hit, err := s.cache.DoBytes(ctx, kb, func() (any, error) {
 			if s.synthDelay > 0 {
 				time.Sleep(s.synthDelay)
 			}
-			return computeResult(entry.Model, req, cfg, rt)
+			es := rt.StartSpan()
+			ev := m.Evaluate(cfg, req.Interval)
+			return newResult(m, req, cfg, &ev, rt, es)
 		})
 		rt.EndSpan("cache_lookup", ls)
 		if err != nil {
+			return lo, err
+		}
+		s.place(out, lo, v, hit)
+		return -1, nil
+	}
+
+	// Pass 1: claim.
+	owner := new(batchOwner)
+	claims := make([]claim, hi-lo)
+	var owned []int
+	for i := lo; i < hi; i++ {
+		kb = appendPredictKey(kb[:0], entry, req, configs[i])
+		claims[i-lo] = s.cache.claim(kb, owner)
+		if claims[i-lo].kind == claimOwn {
+			owned = append(owned, i)
+		}
+	}
+
+	// Pass 2: evaluate what this range owns and fulfil every claim.
+	if len(owned) > 0 {
+		if s.synthDelay > 0 {
+			time.Sleep(time.Duration(len(owned)) * s.synthDelay)
+		}
+		rows := make([][]float64, len(owned))
+		for j, i := range owned {
+			rows[j] = configs[i]
+		}
+		// A request whose at no evaluation can answer fails every row
+		// alike, so it skips the evaluation.
+		var atErr error
+		if req.At > 0 {
+			atErr = m.CheckScale(req.At)
+		}
+		var evs []core.Eval
+		if atErr == nil {
+			// Interval is a normalized coverage by here (see
+			// handlePredict), 0 when no band was asked for.
+			evs = make([]core.Eval, len(rows))
+			m.EvaluateBatch(rows, req.Interval, evs)
+		}
+		for j, i := range owned {
+			cl := &claims[i-lo]
+			if atErr != nil {
+				cl.err = atErr
+			} else {
+				cl.val, cl.err = newResult(m, req, configs[i], &evs[j], nil, obs.SpanClock{})
+			}
+			s.cache.fulfil(cl.fl, cl.val, cl.err)
+		}
+	}
+
+	// Pass 3: resolve in index order; the first error is the lowest. A
+	// deadline that passed during the evaluation fails the range, as the
+	// serial path checks it before each configuration; what was computed
+	// stays cached.
+	if err := ctx.Err(); err != nil {
+		return lo, err
+	}
+	for i := lo; i < hi; i++ {
+		cl := &claims[i-lo]
+		v, hit, err := cl.val, cl.kind == claimHit, cl.err
+		switch cl.kind {
+		case claimRepeat:
+			v, hit, err = cl.fl.val, cl.fl.err == nil, cl.fl.err
+		case claimWait:
+			v, hit, err = s.cache.wait(ctx, cl.fl)
+		}
+		if err != nil {
 			return i, err
 		}
-		res := *v.(*ConfigResult) // shallow copy; cached inner slices are never mutated
-		res.Cached = hit
-		out[i] = res
-		s.metrics.predictions.Inc()
+		s.place(out, i, v, hit)
 	}
 	return -1, nil
 }
 
-// computeResult runs the actual model for one configuration: one
-// Evaluate (the model_eval span), then the bands at the requested
+// place writes one cached or computed result into out[i].
+func (s *Server) place(out []ConfigResult, i int, v any, hit bool) {
+	res := *v.(*ConfigResult) // shallow copy; cached inner slices are never mutated
+	res.Cached = hit
+	out[i] = res
+	s.metrics.predictions.Inc()
+}
+
+// newResult builds one configuration's response entry from its
+// evaluation: the point prediction, which ends the model_eval span es
+// started before the evaluation, then the bands at the requested
 // coverage (the calibration span). cfg is copied: the result outlives
 // the request in the cache, while cfg's backing array belongs to the
 // pooled request object.
-func computeResult(m *core.TwoLevelModel, req *PredictRequest, cfg []float64, rt *obs.ReqTrace) (*ConfigResult, error) {
-	es := rt.StartSpan()
-	// Interval is a normalized coverage by here (see handlePredict), 0
-	// when no band was asked for.
-	ev := m.Evaluate(cfg, req.Interval)
+func newResult(m *core.TwoLevelModel, req *PredictRequest, cfg []float64, ev *core.Eval, rt *obs.ReqTrace, es obs.SpanClock) (*ConfigResult, error) {
 	res := &ConfigResult{
 		Params:   append([]float64(nil), cfg...),
 		Cluster:  ev.Cluster,
@@ -538,7 +628,7 @@ func computeResult(m *core.TwoLevelModel, req *PredictRequest, cfg []float64, rt
 		res.Small = ev.Small
 	}
 	if req.At > 0 {
-		v, err := m.PredictAt(&ev, req.At)
+		v, err := m.PredictAt(ev, req.At)
 		if err != nil {
 			return nil, err
 		}
@@ -548,7 +638,7 @@ func computeResult(m *core.TwoLevelModel, req *PredictRequest, cfg []float64, rt
 	rt.EndSpan("model_eval", es)
 	if req.Interval > 0 {
 		is := rt.StartSpan()
-		res.Intervals = m.Intervals(&ev)
+		res.Intervals = m.Intervals(ev)
 		rt.EndSpan("calibration", is)
 	}
 	return res, nil

@@ -14,11 +14,7 @@
 // trees (see differential_test.go).
 package tree
 
-import (
-	"fmt"
-
-	"repro/internal/mat"
-)
+import "fmt"
 
 // Params controls tree growth. The zero value is not valid; use Defaults.
 type Params struct {
@@ -99,38 +95,4 @@ func (t *Tree) Predict(v []float64) float64 {
 			i = n.Right
 		}
 	}
-}
-
-// PredictBatch fills dst with predictions for every row of x; a nil dst is
-// allocated. With a non-nil dst the call performs no allocations.
-func (t *Tree) PredictBatch(x *mat.Dense, dst []float64) []float64 {
-	if x.Cols != t.Features {
-		panic(fmt.Sprintf("tree: predict with %d features, tree has %d", x.Cols, t.Features))
-	}
-	if dst == nil {
-		dst = make([]float64, x.Rows)
-	}
-	if len(dst) != x.Rows {
-		panic("tree: PredictBatch dst length mismatch")
-	}
-	nodes := t.Nodes
-	cols := x.Cols
-	data := x.Data
-	for i := 0; i < x.Rows; i++ {
-		row := data[i*cols : i*cols+cols]
-		j := int32(0)
-		for {
-			n := &nodes[j]
-			if n.Feature < 0 {
-				dst[i] = n.Value
-				break
-			}
-			if row[n.Feature] <= n.Threshold {
-				j = n.Left
-			} else {
-				j = n.Right
-			}
-		}
-	}
-	return dst
 }

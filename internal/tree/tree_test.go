@@ -17,6 +17,15 @@ func stepData() (*mat.Dense, []float64) {
 	return x, y
 }
 
+// predictRows predicts every row of x.
+func predictRows(tr *Tree, x *mat.Dense) []float64 {
+	out := make([]float64, x.Rows)
+	for i := range out {
+		out[i] = tr.Predict(x.Row(i))
+	}
+	return out
+}
+
 func TestFitStepFunction(t *testing.T) {
 	x, y := stepData()
 	tr := Fit(x, y, Defaults(), nil)
@@ -118,22 +127,6 @@ func TestDeepTreeInterpolatesTrainingData(t *testing.T) {
 	}
 }
 
-func TestPredictBatch(t *testing.T) {
-	x, y := stepData()
-	tr := Fit(x, y, Defaults(), nil)
-	got := tr.PredictBatch(x, nil)
-	for i := range y {
-		if got[i] != y[i] {
-			t.Fatalf("batch mismatch at %d", i)
-		}
-	}
-	buf := make([]float64, x.Rows)
-	got2 := tr.PredictBatch(x, buf)
-	if &got2[0] != &buf[0] {
-		t.Fatal("PredictBatch did not reuse buffer")
-	}
-}
-
 func TestFitIndicesBootstrap(t *testing.T) {
 	x, y := stepData()
 	idx := []int{0, 0, 1, 4, 5, 5, 6, 7}
@@ -183,7 +176,7 @@ func TestFeatureSubsampling(t *testing.T) {
 	p := Defaults()
 	p.MaxFeatures = 1
 	tr := Fit(x, y, p, r)
-	pred := tr.PredictBatch(x, nil)
+	pred := predictRows(tr, x)
 	if stats.R2(y, pred) < 0.9 {
 		t.Fatalf("R2 = %v with feature subsampling", stats.R2(y, pred))
 	}
@@ -205,7 +198,7 @@ func TestGainImprovesFit(t *testing.T) {
 		p := Defaults()
 		p.MaxDepth = depth
 		tr := Fit(x, y, p, nil)
-		rmse := stats.RMSE(y, tr.PredictBatch(x, nil))
+		rmse := stats.RMSE(y, predictRows(tr, x))
 		if rmse > prev+1e-12 {
 			t.Fatalf("training RMSE rose from %v to %v at depth %d", prev, rmse, depth)
 		}
@@ -332,10 +325,6 @@ func TestPredictZeroAllocs(t *testing.T) {
 	v := x.Row(7)
 	if a := testing.AllocsPerRun(50, func() { tr.Predict(v) }); a != 0 {
 		t.Fatalf("Tree.Predict allocates %v times per call, want 0", a)
-	}
-	dst := make([]float64, n)
-	if a := testing.AllocsPerRun(20, func() { tr.PredictBatch(x, dst) }); a != 0 {
-		t.Fatalf("Tree.PredictBatch with reused dst allocates %v times per call, want 0", a)
 	}
 }
 

@@ -97,7 +97,11 @@ func TestCompiledDifferentialFuzz(t *testing.T) {
 // fuzzer mutates the probe's feature values (decoded from raw bytes, so
 // NaN/Inf/subnormal patterns are reachable) against a fixed seeded
 // forest, asserting the compiled traversal reaches exactly the pointer
-// traversal's leaf. `go test` runs the seed corpus; `go test -fuzz` digs.
+// traversal's leaf — both the single-row walk and the blocked batch
+// kernel, with the probe in each of its four interleaved lanes and in
+// its scalar tail, beside training rows. A NaN feature must go right at
+// every split it meets, as the pointer walk's failed `v <= t` does.
+// `go test` runs the seed corpus; `go test -fuzz` digs.
 func FuzzCompiledForestPredict(f *testing.F) {
 	r := rng.New(99)
 	x, y := friedman(r, 150)
@@ -105,19 +109,39 @@ func FuzzCompiledForestPredict(f *testing.F) {
 	p.Trees = 15
 	pf := forest.Fit(x, y, p, r)
 	cf := CompileForest(pf)
+	// Two four-row lane groups and one tail row: positions 0–7 are the
+	// lanes, 8 the scalar tail.
+	const batchRows = 9
+	batch := mat.NewDense(batchRows, x.Cols)
+	got := make([]float64, batchRows)
 
+	nan := math.Float64bits(math.NaN())
 	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), uint64(5), uint64(6))
 	f.Add(^uint64(0), uint64(0), uint64(1)<<63, uint64(0x7ff0000000000000), uint64(1), uint64(42))
+	f.Add(nan, nan, nan, nan, nan, nan)
+	f.Add(nan, uint64(0x3fe0000000000000), nan, uint64(0xfff0000000000000), uint64(1), nan)
 	f.Fuzz(func(t *testing.T, a, b, c, d, e, g uint64) {
 		probe := make([]float64, 6)
 		for i, w := range [...]uint64{a, b, c, d, e, g} {
 			probe[i] = math.Float64frombits(w)
 		}
 		want := pf.Predict(probe)
-		got := cf.Predict(probe)
 		// NaN != NaN, so compare bit patterns.
-		if math.Float64bits(got) != math.Float64bits(want) {
+		if got := cf.Predict(probe); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("compiled %v != pointer %v for probe %v", got, want, probe)
+		}
+		first := int(a % uint64(x.Rows)) // which training rows sit beside the probe
+		for pos := 0; pos < batchRows; pos++ {
+			for i := 0; i < batchRows; i++ {
+				copy(batch.Row(i), x.Row((first+i)%x.Rows))
+			}
+			copy(batch.Row(pos), probe)
+			cf.PredictBatch(batch, got)
+			for i, v := range got {
+				if w := pf.Predict(batch.Row(i)); math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("probe at batch row %d: row %d compiled %v != pointer %v (probe %v)", pos, i, v, w, probe)
+				}
+			}
 		}
 	})
 }
