@@ -11,7 +11,9 @@
 //
 // A -in CSV needs one header row naming the parameters (matching the
 // model's) and one row per configuration; "-in -" reads the CSV from
-// stdin, enabling piping.
+// stdin, enabling piping. Every row is checked before any is evaluated,
+// and the rows are evaluated as one batch, so a bad row fails the run
+// before anything is printed.
 //
 // -interval takes a coverage level in [0.5, 1) (0.9 = a 90% band;
 // conformal when the model was trained by the pipeline, tree-ensemble
@@ -21,6 +23,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
@@ -44,27 +47,41 @@ type result struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "predict: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, reads a -in "-" CSV from stdin and writes the
+// predictions to stdout. Every configuration is checked before any is
+// evaluated, and all of them are evaluated as one batch, so a bad row
+// fails the run before anything is printed.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("predict", flag.ExitOnError)
 	var (
-		modelPath = flag.String("model", "model.json", "trained model path")
-		params    = flag.String("params", "", "one configuration, comma-separated values")
-		in        = flag.String("in", "", "CSV of configurations (header + rows); - reads stdin")
-		at        = flag.Int("at", 0, "predict at one specific scale (0 = all targets)")
-		curves    = flag.Bool("small", false, "also print the predicted small-scale curve")
-		interval  = flag.Float64("interval", 0, "add prediction intervals at this coverage, e.g. 0.9 (off unless set)")
-		asJSON    = flag.Bool("json", false, "emit one JSON object per configuration instead of text")
+		modelPath = fs.String("model", "model.json", "trained model path")
+		params    = fs.String("params", "", "one configuration, comma-separated values")
+		in        = fs.String("in", "", "CSV of configurations (header + rows); - reads stdin")
+		at        = fs.Int("at", 0, "predict at one specific scale (0 = all targets)")
+		curves    = fs.Bool("small", false, "also print the predicted small-scale curve")
+		interval  = fs.Float64("interval", 0, "add prediction intervals at this coverage, e.g. 0.9 (off unless set)")
+		asJSON    = fs.Bool("json", false, "emit one JSON object per configuration instead of text")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	m, err := core.Load(*modelPath)
 	if err != nil {
-		fatalf("loading model: %v", err)
+		return fmt.Errorf("loading model: %v", err)
 	}
 
-	// flag.Visit sees only flags given on the command line, so an
-	// explicit -interval 0 is rejected by NormalizeCoverage rather than
-	// silently treated as "off".
+	// Visit sees only flags given on the command line, so an explicit
+	// -interval 0 is rejected by NormalizeCoverage rather than silently
+	// treated as "off".
 	intervalSet := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "interval" {
 			intervalSet = true
 		}
@@ -73,10 +90,15 @@ func main() {
 	if intervalSet {
 		coverage, err = core.NormalizeCoverage(*interval)
 		if err != nil {
-			fatalf("-interval: %v", err)
+			return fmt.Errorf("-interval: %v", err)
 		}
 		if *at > 0 {
-			fatalf("-interval is incompatible with -at; request all target scales")
+			return fmt.Errorf("-interval is incompatible with -at; request all target scales")
+		}
+	}
+	if *at > 0 {
+		if err := m.CheckScale(*at); err != nil {
+			return err
 		}
 	}
 
@@ -85,70 +107,78 @@ func main() {
 	case *params != "":
 		v, err := cliutil.ParseVector(*params)
 		if err != nil {
-			fatalf("-params: %v", err)
+			return fmt.Errorf("-params: %v", err)
 		}
 		configs = append(configs, v)
 	case *in != "":
-		configs, err = loadConfigs(*in, m.ParamNames)
+		configs, err = loadConfigs(*in, m.ParamNames, stdin)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	default:
-		fatalf("provide -params or -in")
+		return fmt.Errorf("provide -params or -in")
 	}
-
-	enc := json.NewEncoder(os.Stdout)
 	for _, cfg := range configs {
 		if len(cfg) != len(m.ParamNames) {
-			fatalf("configuration %v has %d values, model expects %d (%v)",
+			return fmt.Errorf("configuration %v has %d values, model expects %d (%v)",
 				cfg, len(cfg), len(m.ParamNames), m.ParamNames)
 		}
-		ev := m.Evaluate(cfg, coverage)
+	}
+
+	evs := make([]core.Eval, len(configs))
+	m.EvaluateBatch(configs, coverage, evs)
+	out := bufio.NewWriter(stdout)
+	enc := json.NewEncoder(out)
+	for i, cfg := range configs {
+		ev := &evs[i]
 		res := result{Params: cfg, Cluster: ev.Cluster, Scales: m.Cfg.LargeScales, Runtimes: ev.Runtimes}
 		if *curves {
 			res.Small = ev.Small
 		}
 		if *at > 0 {
-			v, err := m.PredictAt(&ev, *at)
+			v, err := m.PredictAt(ev, *at)
 			if err != nil {
-				fatalf("%v", err)
+				return err
 			}
 			res.Scales = []int{*at}
 			res.Runtimes = []float64{v}
 		} else if coverage > 0 {
-			res.Intervals = m.Intervals(&ev)
+			res.Intervals = m.Intervals(ev)
 		}
 		if *asJSON {
 			if err := enc.Encode(res); err != nil {
-				fatalf("encoding result: %v", err)
+				return fmt.Errorf("encoding result: %v", err)
 			}
 			continue
 		}
-		printResult(m, res)
+		printResult(out, m, res)
 	}
+	return out.Flush()
 }
 
-func printResult(m *core.TwoLevelModel, res result) {
-	fmt.Printf("config %v (cluster %d)\n", res.Params, res.Cluster)
+// printResult writes res as text. A bufio.Writer keeps its first write
+// error and returns it from Flush, so the writes here drop theirs.
+func printResult(w *bufio.Writer, m *core.TwoLevelModel, res result) {
+	_, _ = fmt.Fprintf(w, "config %v (cluster %d)\n", res.Params, res.Cluster)
 	if res.Small != nil {
 		for i, s := range m.Cfg.SmallScales {
-			fmt.Printf("  p=%-6d %.6g s (interpolated)\n", s, res.Small[i])
+			_, _ = fmt.Fprintf(w, "  p=%-6d %.6g s (interpolated)\n", s, res.Small[i])
 		}
 	}
 	for i, s := range res.Scales {
 		if res.Intervals != nil {
 			iv := res.Intervals[i]
-			fmt.Printf("  p=%-6d %.6g s  [%.6g, %.6g] (%s)\n", s, res.Runtimes[i], iv.Lo, iv.Hi, iv.Source)
+			_, _ = fmt.Fprintf(w, "  p=%-6d %.6g s  [%.6g, %.6g] (%s)\n", s, res.Runtimes[i], iv.Lo, iv.Hi, iv.Source)
 			continue
 		}
-		fmt.Printf("  p=%-6d %.6g s\n", s, res.Runtimes[i])
+		_, _ = fmt.Fprintf(w, "  p=%-6d %.6g s\n", s, res.Runtimes[i])
 	}
 }
 
-func loadConfigs(path string, want []string) ([][]float64, error) {
+func loadConfigs(path string, want []string, stdin io.Reader) ([][]float64, error) {
 	var rd io.Reader
 	if path == "-" {
-		rd = os.Stdin
+		rd = stdin
 		path = "stdin"
 	} else {
 		f, err := os.Open(path)
@@ -192,9 +222,4 @@ func loadConfigs(path string, want []string) ([][]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "predict: "+format+"\n", args...)
-	os.Exit(1)
 }

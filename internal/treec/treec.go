@@ -1,9 +1,12 @@
 // Package treec compiles a fitted random forest (forest.Forest) into a
-// flattened struct-of-arrays layout and provides batch-blocked traversal
-// kernels over it. Predictions are bit-identical to the pointer
-// implementation — the compiled form reaches the same leaves via the same
-// float comparisons and accumulates in the same order — which a
-// differential fuzz suite enforces (see differential_test.go).
+// flattened struct-of-arrays layout and walks it with two traversal
+// kernels: a batch kernel that takes rows in blocks of 128 and descends
+// each tree with four rows in lockstep, and a single-row kernel that
+// descends up to 128 trees in lockstep for one row. Predictions are
+// bit-identical to the pointer implementation — the compiled form
+// reaches the same leaves via the same float comparisons and accumulates
+// in the same order — which a differential fuzz suite enforces (see
+// differential_test.go).
 //
 // Why compile: the pointer layout pays a 40-byte Node struct per hop plus
 // a data-dependent branch per split, and every tree's node slice is a
@@ -16,6 +19,13 @@
 // choice becomes a conditional increment the compiler lowers to a
 // branchless flag-materializing SETcc + add, removing the
 // ~50%-mispredicted branch that dominates random-forest inference.
+//
+// Why lockstep: a model's node tables (several MB for six 100-tree
+// forests) exceed a core's L2, so inference is bound by memory latency,
+// and one tree's walk is a chain of dependent loads with one miss in
+// flight. Walking independent chains together overlaps their misses:
+// four rows per tree in a batch, and for a single row, all trees of the
+// forest one level at a time.
 package treec
 
 import (
@@ -98,26 +108,60 @@ func compileTrees(trees []*tree.Tree, features int) Ensemble {
 	return e
 }
 
-// predictRow walks one row from root to its leaf and returns the leaf
-// value. The left/right choice compiles to a branchless conditional
-// increment (SETcc). The condition is the negation of the pointer
-// implementation's `v <= threshold`, NOT `v > threshold`: the two differ
-// on NaN inputs, and bit-identity must hold for every float.
-func (e *Ensemble) predictRow(row []float64, root int32) float64 {
+// laneTrees is how many trees one single-row walk descends together.
+// The lanes' node indices live in a stack array of this size, so a
+// forest of any size is walked in chunks of laneTrees trees.
+const laneTrees = 128
+
+// rowLeaves walks one row down up to laneTrees trees (roots) together,
+// level by level, and leaves in leaf[k] the leaf node tree roots[k]
+// reaches. One tree's walk is a chain of dependent loads, so walked one
+// after another the trees of a forest whose tables exceed the cache
+// keep one miss in flight at a time; each sweep here moves every tree
+// that is not yet at a leaf down one level, and those loads are
+// independent of each other. The left/right choice compiles to a
+// branchless conditional increment (SETcc). The condition is the
+// negation of the pointer implementation's `v <= threshold`, NOT
+// `v > threshold`: the two differ on NaN inputs, and bit-identity must
+// hold for every float.
+func (e *Ensemble) rowLeaves(row []float64, roots []int32, leaf *[laneTrees]int32) {
 	feat, child, th := e.Feature, e.Child, e.Thresh
-	j := root
-	for {
-		f := feat[j]
-		t := th[j]
-		if f < 0 {
-			return t
+	n := copy(leaf[:], roots)
+	for moved := true; moved; {
+		moved = false
+		for k, j := range leaf[:n] {
+			f := feat[j]
+			if f < 0 {
+				continue
+			}
+			var bump int32
+			if !(row[f] <= th[j]) {
+				bump = 1
+			}
+			leaf[k] = child[j] + bump
+			moved = true
 		}
-		var bump int32
-		if !(row[f] <= t) {
-			bump = 1
-		}
-		j = child[j] + bump
 	}
+}
+
+// rowSum returns the sum of every tree's leaf value for row, added in
+// tree order, and stores tree t's leaf value in preds[t] when preds is
+// non-nil.
+func (e *Ensemble) rowSum(row, preds []float64) float64 {
+	var leaf [laneTrees]int32
+	var s float64
+	for c := 0; c < len(e.Roots); c += laneTrees {
+		roots := e.Roots[c:min(c+laneTrees, len(e.Roots))]
+		e.rowLeaves(row, roots, &leaf)
+		for k := range roots {
+			v := e.Thresh[leaf[k]]
+			if preds != nil {
+				preds[c+k] = v
+			}
+			s += v
+		}
+	}
+	return s
 }
 
 // blockRows is the row-block size for batch traversal: a block of rows
@@ -128,9 +172,10 @@ func (e *Ensemble) predictRow(row []float64, root int32) float64 {
 // alongside the upper tree levels.
 const blockRows = 128
 
-// accumulate adds leaf(row i) to dst[i] for every tree and every row of
-// x, walking trees over row blocks. Accumulation order per row is tree
-// order, identical to the pointer implementation.
+// accumulate sets dst[i], which must be zero on entry, to the sum of
+// leaf(row i) over every tree, walking trees over row blocks.
+// Accumulation order per row is tree order, identical to the pointer
+// implementation.
 //
 // Within a block, four rows traverse each tree in lockstep: a single
 // traversal is a serial chain (load node, compare, load child, …) that
@@ -138,7 +183,9 @@ const blockRows = 128
 // while four independent chains overlap those stalls. Rows that reach
 // their leaf early park (guarded by the lane's `f < 0` check) until the
 // deepest lane finishes; the wasted iterations are bounded by the depth
-// spread between four adjacent rows, which is small in practice.
+// spread between four adjacent rows, which is small in practice. The
+// rows left over after the groups of four take the single-row kernel,
+// which walks all trees for one row together.
 func (e *Ensemble) accumulate(x *mat.Dense, dst []float64) {
 	data := x.Data
 	cols := x.Cols
@@ -148,9 +195,9 @@ func (e *Ensemble) accumulate(x *mat.Dense, dst []float64) {
 		if be > x.Rows {
 			be = x.Rows
 		}
+		tail := be - (be-b)%4
 		for _, root := range e.Roots {
-			i := b
-			for ; i+4 <= be; i += 4 {
+			for i := b; i < tail; i += 4 {
 				r0 := data[(i+0)*cols : (i+0)*cols+cols : (i+0)*cols+cols]
 				r1 := data[(i+1)*cols : (i+1)*cols+cols : (i+1)*cols+cols]
 				r2 := data[(i+2)*cols : (i+2)*cols+cols : (i+2)*cols+cols]
@@ -196,10 +243,9 @@ func (e *Ensemble) accumulate(x *mat.Dense, dst []float64) {
 				dst[i+2] += th[j2]
 				dst[i+3] += th[j3]
 			}
-			for ; i < be; i++ {
-				row := data[i*cols : i*cols+cols : i*cols+cols]
-				dst[i] += e.predictRow(row, root)
-			}
+		}
+		for i := tail; i < be; i++ {
+			dst[i] = e.rowSum(data[i*cols:i*cols+cols:i*cols+cols], nil)
 		}
 	}
 }
@@ -222,11 +268,7 @@ func (f *Forest) Predict(v []float64) float64 {
 	if len(v) != f.E.Features {
 		panic(fmt.Sprintf("treec: predict with %d features, forest has %d", len(v), f.E.Features))
 	}
-	var s float64
-	for _, root := range f.E.Roots {
-		s += f.E.predictRow(v, root)
-	}
-	return s / float64(len(f.E.Roots))
+	return f.E.rowSum(v, nil) / float64(len(f.E.Roots))
 }
 
 // PredictBatch fills dst with forest predictions for every row of x; a
@@ -278,13 +320,7 @@ func (f *Forest) PredictQuantilesInto(v, qs, preds, dst []float64) float64 {
 		panic("treec: quantile scratch shorter than tree count")
 	}
 	preds = preds[:n]
-	var s float64
-	for i, root := range f.E.Roots {
-		p := f.E.predictRow(v, root)
-		preds[i] = p
-		s += p
-	}
-	mean := s / float64(n)
+	mean := f.E.rowSum(v, preds) / float64(n)
 	// The mean is accumulated before the sort, and the interpolation below
 	// is operation-for-operation the arithmetic in forest.PredictQuantilesInto,
 	// keeping both bit-identical to the pointer path.

@@ -142,6 +142,17 @@ func TestCompiledZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { cf.PredictQuantilesInto(probe, qs, scratch, qdst) }); n != 0 {
 		t.Fatalf("compiled PredictQuantilesInto allocates %v per call, want 0", n)
 	}
+	// Past laneTrees trees the single-row kernel walks in chunks; its lane
+	// array must stay on the stack across them.
+	p.Trees = 2*laneTrees + 3
+	big := CompileForest(forest.Fit(x, y, p, r))
+	if n := testing.AllocsPerRun(50, func() { big.Predict(probe) }); n != 0 {
+		t.Fatalf("compiled Predict over %d trees allocates %v per call, want 0", p.Trees, n)
+	}
+	scratch = make([]float64, big.E.NumTrees())
+	if n := testing.AllocsPerRun(50, func() { big.PredictQuantilesInto(probe, qs, scratch, qdst) }); n != 0 {
+		t.Fatalf("compiled PredictQuantilesInto over %d trees allocates %v per call, want 0", p.Trees, n)
+	}
 }
 
 func TestCompiledPanics(t *testing.T) {
