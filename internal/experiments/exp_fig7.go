@@ -42,10 +42,7 @@ func runFig7(p Protocol) ([]*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			idx := len(p.LargeScales) - 1
-			tlMAPE, _ := s.EvalAtScale(scale, func(c dataset.Config, _ []float64) float64 {
-				return tl.Predict(c.Params)[idx]
-			})
+			tlMAPE, _ := s.EvalTwoLevel(tl).MAPEAt(scale)
 			row := []string{fmt.Sprintf("%d", nA), string(tl.Mode()), pct(tlMAPE)}
 			for _, b := range []struct {
 				name  string

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hpcsim"
-	"repro/internal/rng"
 )
 
 // runFig8 (beyond-paper extension) repeats the headline comparison on
@@ -26,7 +25,11 @@ func runFig8(p Protocol) ([]*Report, error) {
 			},
 		}
 		for _, mname := range machines {
-			s, err := machineSetup(app, p, hpcsim.Machines()[mname])
+			machine := hpcsim.Machines()[mname]
+			if machine == nil {
+				return nil, fmt.Errorf("experiments: unknown machine %q", mname)
+			}
+			s, err := newSetupOn(app, p, hpcsim.NewEngine(machine, p.Seed))
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", app.Name(), mname, err)
 			}
@@ -43,37 +46,4 @@ func runFig8(p Protocol) ([]*Report, error) {
 		reports = append(reports, rep)
 	}
 	return reports, nil
-}
-
-// machineSetup is NewSetup on an explicit machine.
-func machineSetup(app hpcsim.App, p Protocol, machine *hpcsim.Machine) (*Setup, error) {
-	if machine == nil {
-		return nil, fmt.Errorf("experiments: nil machine")
-	}
-	eng := hpcsim.NewEngine(machine, p.Seed)
-	sp := app.Space()
-	r := rng.New(p.Seed ^ 0x5eed)
-	trainCfgs := sp.SampleLatinHypercube(r, p.NumConfigs)
-	testCfgs := sp.SampleLatinHypercube(r, p.NumTest)
-	train, err := eng.GenerateHistory(app, hpcsim.HistorySpec{Configs: trainCfgs, Scales: p.SmallScales, Reps: p.Reps})
-	if err != nil {
-		return nil, err
-	}
-	if p.NumAnchors > 0 {
-		nAnchor := p.NumAnchors
-		if nAnchor > p.NumConfigs {
-			nAnchor = p.NumConfigs
-		}
-		anchors, err := eng.GenerateHistory(app, hpcsim.HistorySpec{Configs: trainCfgs[:nAnchor], Scales: p.LargeScales, Reps: p.Reps})
-		if err != nil {
-			return nil, err
-		}
-		train.Merge(anchors)
-	}
-	allScales := append(append([]int{}, p.SmallScales...), p.LargeScales...)
-	test, err := eng.GenerateHistory(app, hpcsim.HistorySpec{Configs: testCfgs, Scales: allScales, Reps: 1})
-	if err != nil {
-		return nil, err
-	}
-	return &Setup{App: app, Engine: eng, Protocol: p, Train: train, Test: test}, nil
 }

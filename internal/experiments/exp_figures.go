@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/hpcsim"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -66,7 +64,6 @@ func isSmall(scale int, small []int) bool {
 // backend clusters only its anchors, capping the effective K.
 func runFig2(p Protocol) ([]*Report, error) {
 	scale := p.LargeScales[len(p.LargeScales)-1]
-	idx := len(p.LargeScales) - 1
 	var reports []*Report
 	for _, app := range paperApps() {
 		s, err := NewSetup(app, p)
@@ -93,9 +90,7 @@ func runFig2(p Protocol) ([]*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				mape, _ := s.EvalAtScale(scale, func(c dataset.Config, _ []float64) float64 {
-					return m.Predict(c.Params)[idx]
-				})
+				mape, _ := s.EvalTwoLevel(m).MAPEAt(scale)
 				row = append(row, fmt.Sprintf("%d", m.Clusters()), pct(mape))
 			}
 			rep.AddRow(row...)
@@ -136,11 +131,9 @@ func runFig3(p Protocol) ([]*Report, error) {
 				return nil, err
 			}
 			row := []string{fmt.Sprintf("%d", n), fmt.Sprintf("%d", m.TrainConfigs)}
-			for li := range pp.LargeScales {
-				idx := li
-				mape, _ := s.EvalAtScale(pp.LargeScales[li], func(c dataset.Config, _ []float64) float64 {
-					return m.Predict(c.Params)[idx]
-				})
+			ev := s.EvalTwoLevel(m)
+			for _, sc := range pp.LargeScales {
+				mape, _ := ev.MAPEAt(sc)
 				row = append(row, pct(mape))
 			}
 			rep.AddRow(row...)
@@ -163,10 +156,7 @@ func runFig4(p Protocol) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx := len(p.LargeScales) - 1
-		yTrue, yPred := s.PairsAtScale(scale, func(c dataset.Config, _ []float64) float64 {
-			return m.Predict(c.Params)[idx]
-		})
+		yTrue, yPred := s.EvalTwoLevel(m).PairsAt(scale)
 		rep := &Report{
 			ID:    "fig4",
 			Title: fmt.Sprintf("Predicted vs actual at p=%d, %s", scale, app.Name()),
@@ -234,11 +224,9 @@ func runFig5(p Protocol) ([]*Report, error) {
 				return nil, err
 			}
 			row := []string{fmt.Sprintf("%v", subset)}
-			for li := range pp.LargeScales {
-				idx := li
-				mape, _ := s.EvalAtScale(pp.LargeScales[li], func(c dataset.Config, _ []float64) float64 {
-					return m.Predict(c.Params)[idx]
-				})
+			ev := s.EvalTwoLevel(m)
+			for _, sc := range pp.LargeScales {
+				mape, _ := ev.MAPEAt(sc)
 				row = append(row, pct(mape))
 			}
 			rep.AddRow(row...)
@@ -264,7 +252,7 @@ func runFig6(p Protocol) ([]*Report, error) {
 			Notes: []string{"expected: graceful degradation — error grows roughly with sigma, no cliff"},
 		}
 		for _, sigma := range sigmas {
-			s, err := noisySetup(app, p, sigma)
+			s, err := newSetupOn(app, p, noisyEngine(p.Seed, sigma))
 			if err != nil {
 				return nil, err
 			}
@@ -273,11 +261,9 @@ func runFig6(p Protocol) ([]*Report, error) {
 				return nil, err
 			}
 			row := []string{fmt.Sprintf("%.2f", sigma)}
-			for li := range p.LargeScales {
-				idx := li
-				mape, _ := s.EvalAtScale(p.LargeScales[li], func(c dataset.Config, _ []float64) float64 {
-					return m.Predict(c.Params)[idx]
-				})
+			ev := s.EvalTwoLevel(m)
+			for _, sc := range p.LargeScales {
+				mape, _ := ev.MAPEAt(sc)
 				row = append(row, pct(mape))
 			}
 			rep.AddRow(row...)
@@ -287,44 +273,13 @@ func runFig6(p Protocol) ([]*Report, error) {
 	return reports, nil
 }
 
-// noisySetup regenerates a setup with an engine at the given noise level.
-func noisySetup(app hpcsim.App, p Protocol, sigma float64) (*Setup, error) {
-	s, err := NewSetup(app, p)
-	if err != nil {
-		return nil, err
-	}
-	eng := hpcsim.NewEngine(nil, p.Seed)
+// noisyEngine is the default engine at the given noise level; zero
+// noise also turns interference off.
+func noisyEngine(seed uint64, sigma float64) *hpcsim.Engine {
+	eng := hpcsim.NewEngine(nil, seed)
 	eng.NoiseSigma = sigma
 	if sigma == 0 {
 		eng.InterferenceProb = 0
 	}
-	// regenerate both tables under the adjusted engine
-	sp := app.Space()
-	r := rng.New(p.Seed ^ 0x5eed)
-	trainCfgs := sp.SampleLatinHypercube(r, p.NumConfigs)
-	testCfgs := sp.SampleLatinHypercube(r, p.NumTest)
-	train, err := eng.GenerateHistory(app, hpcsim.HistorySpec{Configs: trainCfgs, Scales: p.SmallScales, Reps: p.Reps})
-	if err != nil {
-		return nil, err
-	}
-	if p.NumAnchors > 0 {
-		nAnchor := p.NumAnchors
-		if nAnchor > p.NumConfigs {
-			nAnchor = p.NumConfigs
-		}
-		anchors, err := eng.GenerateHistory(app, hpcsim.HistorySpec{Configs: trainCfgs[:nAnchor], Scales: p.LargeScales, Reps: p.Reps})
-		if err != nil {
-			return nil, err
-		}
-		train.Merge(anchors)
-	}
-	allScales := append(append([]int{}, p.SmallScales...), p.LargeScales...)
-	test, err := eng.GenerateHistory(app, hpcsim.HistorySpec{Configs: testCfgs, Scales: allScales, Reps: 1})
-	if err != nil {
-		return nil, err
-	}
-	s.Engine = eng
-	s.Train = train
-	s.Test = test
-	return s, nil
+	return eng
 }

@@ -36,12 +36,12 @@ func runTable5(p Protocol) ([]*Report, error) {
 				"Δ = two-level − baseline; CI entirely below 0 ⇒ two-level significantly better",
 			},
 		}
-		yTrue, predTwo := s.PairsAtScale(scale, m.predictFn("two-level", scale))
+		yTrue, predTwo := m.pairsAt("two-level", scale)
 		for _, name := range MethodNames {
 			if name == "two-level" {
 				continue
 			}
-			yt, predBase := s.PairsAtScale(scale, m.predictFn(name, scale))
+			yt, predBase := m.pairsAt(name, scale)
 			if len(yt) != len(yTrue) {
 				// methods must be compared on identical points
 				return nil, fmt.Errorf("experiments: %s evaluated %d points, two-level %d", name, len(yt), len(yTrue))

@@ -187,20 +187,21 @@ func runTable4(p Protocol) ([]*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s / %s: %w", app.Name(), v.name, err)
 			}
+			var ev *TwoLevelEval
+			if !v.oracleCurve {
+				ev = s.EvalTwoLevel(m)
+			}
 			row := []string{v.name}
 			for li, sc := range p.LargeScales {
-				idx := li
-				var fn func(cfg dataset.Config, curve []float64) float64
+				var mape float64
 				if v.oracleCurve {
-					fn = func(_ dataset.Config, curve []float64) float64 {
-						return m.PredictFromCurve(curve)[idx]
-					}
+					// The oracle extrapolates the measured curve, walking no forest.
+					mape, _ = s.EvalAtScale(sc, func(_ dataset.Config, curve []float64) float64 {
+						return m.PredictFromCurve(curve)[li]
+					})
 				} else {
-					fn = func(c dataset.Config, _ []float64) float64 {
-						return m.Predict(c.Params)[idx]
-					}
+					mape, _ = ev.MAPEAt(sc)
 				}
-				mape, _ := s.EvalAtScale(sc, fn)
 				row = append(row, pct(mape))
 			}
 			rep.AddRow(row...)

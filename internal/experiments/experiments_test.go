@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/hpcsim"
 )
@@ -180,5 +181,51 @@ func TestEvalAtScaleSkipsNaN(t *testing.T) {
 	// unknown scale: nothing to evaluate
 	if _, n := s.EvalAtScale(999, func(dataset.Config, []float64) float64 { return 1 }); n != 0 {
 		t.Fatal("unknown scale evaluated points")
+	}
+}
+
+// TestEvalTwoLevelMatchesPerConfigPredict holds the one batch
+// evaluation against its per-configuration oracle: at every target and
+// small scale, for both backends, the pairs are PairsAtScale's with
+// Predict and PredictSmall, bit for bit, and a scale the model does not
+// know has none.
+func TestEvalTwoLevelMatchesPerConfigPredict(t *testing.T) {
+	p := tinyProtocol()
+	s, err := NewSetup(hpcsim.NewLulesh(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.ModeAnchored, core.ModeBasis} {
+		cfg := s.CoreConfig()
+		cfg.Mode = mode
+		cfg.Forest.Trees = 10
+		m, err := s.FitTwoLevel(5, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := s.EvalTwoLevel(m)
+		check := func(scale int, predict func(dataset.Config, []float64) float64) {
+			t.Helper()
+			wantTrue, wantPred := s.PairsAtScale(scale, predict)
+			gotTrue, gotPred := ev.PairsAt(scale)
+			if len(wantTrue) == 0 || len(gotTrue) != len(wantTrue) {
+				t.Fatalf("%s p=%d: %d pairs, oracle %d", mode, scale, len(gotTrue), len(wantTrue))
+			}
+			for i := range wantTrue {
+				if gotTrue[i] != wantTrue[i] || math.Float64bits(gotPred[i]) != math.Float64bits(wantPred[i]) {
+					t.Fatalf("%s p=%d pair %d: (%v, %v), oracle (%v, %v)",
+						mode, scale, i, gotTrue[i], gotPred[i], wantTrue[i], wantPred[i])
+				}
+			}
+		}
+		for li, sc := range p.LargeScales {
+			check(sc, func(tc dataset.Config, _ []float64) float64 { return m.Predict(tc.Params)[li] })
+		}
+		for si, sc := range p.SmallScales {
+			check(sc, func(tc dataset.Config, _ []float64) float64 { return m.PredictSmall(tc.Params)[si] })
+		}
+		if yTrue, _ := ev.PairsAt(999); len(yTrue) != 0 {
+			t.Fatalf("%s: unknown scale has %d pairs", mode, len(yTrue))
+		}
 	}
 }

@@ -20,13 +20,14 @@ var MethodNames = []string{
 // methods bundles every compared method fitted on one setup's history.
 type methods struct {
 	setup    *Setup
-	twoLevel *core.TwoLevelModel
-	twoBasis *core.TwoLevelModel
+	twoLevel *TwoLevelEval
+	twoBasis *TwoLevelEval
 	direct   map[string]baselines.Predictor
 	curveFit *baselines.CurveFit
 }
 
-// newMethods fits the two-level model and every baseline on the setup.
+// newMethods fits the two-level models and every baseline on the setup,
+// and evaluates the two-level models over its test configurations.
 func newMethods(s *Setup, seed uint64) (*methods, error) {
 	m := &methods{
 		setup:    s,
@@ -37,14 +38,14 @@ func newMethods(s *Setup, seed uint64) (*methods, error) {
 	if err != nil {
 		return nil, fmt.Errorf("two-level: %w", err)
 	}
-	m.twoLevel = tl
+	m.twoLevel = s.EvalTwoLevel(tl)
 	basisCfg := s.CoreConfig()
 	basisCfg.Mode = core.ModeBasis
 	tb, err := s.FitTwoLevel(seed, basisCfg)
 	if err != nil {
 		return nil, fmt.Errorf("two-level-basis: %w", err)
 	}
-	m.twoBasis = tb
+	m.twoBasis = s.EvalTwoLevel(tb)
 	for _, b := range baselines.All() {
 		p, err := b.Train(rng.New(seed^0xbadc0de), s.Train)
 		if err != nil {
@@ -55,37 +56,11 @@ func newMethods(s *Setup, seed uint64) (*methods, error) {
 	return m, nil
 }
 
-// predictFn returns the prediction closure for a named method at a scale.
-// Unknown methods panic (programming error in an experiment).
+// predictFn returns the prediction closure for a baseline or curve-fit
+// at a scale. Unknown methods panic (programming error in an
+// experiment).
 func (m *methods) predictFn(name string, scale int) func(cfg dataset.Config, curve []float64) float64 {
-	switch name {
-	case "two-level", "two-level-basis":
-		mdl := m.twoLevel
-		if name == "two-level-basis" {
-			mdl = m.twoBasis
-		}
-		idx := -1
-		for i, s := range mdl.Cfg.LargeScales {
-			if s == scale {
-				idx = i
-			}
-		}
-		if idx >= 0 {
-			return func(cfg dataset.Config, _ []float64) float64 {
-				return mdl.Predict(cfg.Params)[idx]
-			}
-		}
-		// small-scale query: answer with the interpolation level
-		for i, s := range mdl.Cfg.SmallScales {
-			if s == scale {
-				si := i
-				return func(cfg dataset.Config, _ []float64) float64 {
-					return mdl.PredictSmall(cfg.Params)[si]
-				}
-			}
-		}
-		return func(dataset.Config, []float64) float64 { return math.NaN() }
-	case "curve-fit":
+	if name == "curve-fit" {
 		return func(_ dataset.Config, curve []float64) float64 {
 			v, err := m.curveFit.PredictFromCurve(curve, scale)
 			if err != nil {
@@ -93,20 +68,31 @@ func (m *methods) predictFn(name string, scale int) func(cfg dataset.Config, cur
 			}
 			return v
 		}
-	default:
-		p, ok := m.direct[name]
-		if !ok {
-			panic(fmt.Sprintf("experiments: unknown method %q", name))
-		}
-		return func(cfg dataset.Config, _ []float64) float64 {
-			return p.PredictAt(cfg.Params, scale)
-		}
 	}
+	p, ok := m.direct[name]
+	if !ok {
+		panic(fmt.Sprintf("experiments: unknown method %q", name))
+	}
+	return func(cfg dataset.Config, _ []float64) float64 {
+		return p.PredictAt(cfg.Params, scale)
+	}
+}
+
+// pairsAt returns one method's aligned (true, predicted) runtimes at
+// one scale over the test set.
+func (m *methods) pairsAt(name string, scale int) (yTrue, yPred []float64) {
+	switch name {
+	case "two-level":
+		return m.twoLevel.PairsAt(scale)
+	case "two-level-basis":
+		return m.twoBasis.PairsAt(scale)
+	}
+	return m.setup.PairsAtScale(scale, m.predictFn(name, scale))
 }
 
 // mapeAt evaluates one method's MAPE at one scale over the test set.
 func (m *methods) mapeAt(name string, scale int) float64 {
-	mape, n := m.setup.EvalAtScale(scale, m.predictFn(name, scale))
+	mape, n := mapeOf(m.pairsAt(name, scale))
 	if n == 0 {
 		return math.NaN()
 	}

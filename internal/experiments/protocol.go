@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -80,10 +81,15 @@ type Setup struct {
 
 // NewSetup generates the history for one application under the protocol.
 func NewSetup(app hpcsim.App, p Protocol) (*Setup, error) {
+	return newSetupOn(app, p, hpcsim.NewEngine(nil, p.Seed))
+}
+
+// newSetupOn is NewSetup on an explicit engine: a machine preset or a
+// noise level other than the default.
+func newSetupOn(app hpcsim.App, p Protocol, eng *hpcsim.Engine) (*Setup, error) {
 	if p.NumConfigs < 6 || p.NumTest < 1 {
 		return nil, fmt.Errorf("experiments: degenerate protocol %+v", p)
 	}
-	eng := hpcsim.NewEngine(nil, p.Seed)
 	r := rng.New(p.Seed ^ 0x5eed)
 	sp := app.Space()
 
@@ -139,26 +145,38 @@ func (s *Setup) FitTwoLevel(seed uint64, cfg core.Config) (*core.TwoLevelModel, 
 // its measured small-scale curve (for curve-based methods) and returns
 // the predicted runtime; returning NaN skips the point.
 func (s *Setup) EvalAtScale(scale int, predict func(cfg dataset.Config, curve []float64) float64) (float64, int) {
-	yTrue, yPred := s.PairsAtScale(scale, predict)
-	if len(yTrue) == 0 {
-		return 0, 0
-	}
-	return stats.MAPE(yTrue, yPred), len(yTrue)
+	return mapeOf(s.PairsAtScale(scale, predict))
 }
 
 // PairsAtScale returns aligned (true, predicted) runtimes at one scale,
 // under EvalAtScale's rules for which configurations count.
 func (s *Setup) PairsAtScale(scale int, predict func(cfg dataset.Config, curve []float64) float64) (yTrue, yPred []float64) {
+	cfgs, curves := s.testCurves()
+	return pairsAt(cfgs, scale, func(i int) float64 { return predict(cfgs[i], curves[i]) })
+}
+
+// testCurves returns the test configurations that have a measured
+// small-scale curve, in GroupByConfig order, with those curves.
+func (s *Setup) testCurves() (cfgs []dataset.Config, curves [][]float64) {
 	for _, c := range s.Test.GroupByConfig() {
+		if curve, ok := c.Curve(s.Protocol.SmallScales); ok {
+			cfgs = append(cfgs, c)
+			curves = append(curves, curve)
+		}
+	}
+	return cfgs, curves
+}
+
+// pairsAt pairs each configuration's measured runtime at scale with
+// predict(i), its prediction; configurations not measured at scale and
+// NaN predictions are skipped.
+func pairsAt(cfgs []dataset.Config, scale int, predict func(i int) float64) (yTrue, yPred []float64) {
+	for i, c := range cfgs {
 		rt, ok := c.Runtimes[scale]
 		if !ok {
 			continue
 		}
-		curve, ok := c.Curve(s.Protocol.SmallScales)
-		if !ok {
-			continue
-		}
-		p := predict(c, curve)
+		p := predict(i)
 		if math.IsNaN(p) {
 			continue
 		}
@@ -166,4 +184,52 @@ func (s *Setup) PairsAtScale(scale int, predict func(cfg dataset.Config, curve [
 		yPred = append(yPred, p)
 	}
 	return yTrue, yPred
+}
+
+// mapeOf is the MAPE of aligned pairs and their count; 0, 0 when there
+// are none.
+func mapeOf(yTrue, yPred []float64) (float64, int) {
+	if len(yTrue) == 0 {
+		return 0, 0
+	}
+	return stats.MAPE(yTrue, yPred), len(yTrue)
+}
+
+// TwoLevelEval is a fitted two-level model evaluated once over a setup's
+// test configurations, so every scale's error reads the same pass.
+type TwoLevelEval struct {
+	model *core.TwoLevelModel
+	cfgs  []dataset.Config
+	evs   []core.Eval
+}
+
+// EvalTwoLevel evaluates m over the test configurations PairsAtScale
+// counts, in its order, with one core.EvaluateBatch.
+func (s *Setup) EvalTwoLevel(m *core.TwoLevelModel) *TwoLevelEval {
+	cfgs, _ := s.testCurves()
+	rows := make([][]float64, len(cfgs))
+	for i, c := range cfgs {
+		rows[i] = c.Params
+	}
+	evs := make([]core.Eval, len(rows))
+	m.EvaluateBatch(rows, 0, evs)
+	return &TwoLevelEval{model: m, cfgs: cfgs, evs: evs}
+}
+
+// PairsAt is PairsAtScale for the evaluated model: a target scale reads
+// the extrapolated runtime, a small scale the interpolation level's, and
+// any other scale has no pairs.
+func (e *TwoLevelEval) PairsAt(scale int) (yTrue, yPred []float64) {
+	predict := func(int) float64 { return math.NaN() }
+	if li := slices.Index(e.model.Cfg.LargeScales, scale); li >= 0 {
+		predict = func(i int) float64 { return e.evs[i].Runtimes[li] }
+	} else if si := slices.Index(e.model.Cfg.SmallScales, scale); si >= 0 {
+		predict = func(i int) float64 { return e.evs[i].Small[si] }
+	}
+	return pairsAt(e.cfgs, scale, predict)
+}
+
+// MAPEAt is EvalAtScale for the evaluated model.
+func (e *TwoLevelEval) MAPEAt(scale int) (float64, int) {
+	return mapeOf(e.PairsAt(scale))
 }

@@ -8,13 +8,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Cache is an LRU cache with single-flight deduplication: concurrent
-// DoBytes calls for the same missing key run the compute function once and
-// share its result. Keys embed the model version (see predictKey), so a
-// hot-swap naturally invalidates stale results without an explicit
-// flush. A capacity <= 0 disables caching entirely (DoBytes always
-// computes). Its counters are handles in the obs registry it was built
-// on, so /metrics JSON (Stats) and the Prometheus text read one store.
+// Cache is an LRU cache with single-flight deduplication. A caller
+// claims a key: a hit returns the cached value, the first miss owns the
+// computation and later claims of the same key wait on its flight
+// instead of computing it again. The owner fulfils the claim, which
+// caches a successful value and releases the waiters (see
+// Server.computeRange). Keys embed the model version (see
+// appendPredictKey), so a hot-swap naturally invalidates stale results
+// without an explicit flush. A capacity <= 0 disables caching entirely
+// (every claim is an owned miss). Its counters are handles in the obs
+// registry it was built on, so /metrics JSON (Stats) and the Prometheus
+// text read one store.
 type Cache struct {
 	capacity int
 
@@ -39,7 +43,7 @@ type cacheItem struct {
 // is closed (after val/err are set) when the computation finishes; a
 // channel rather than a WaitGroup so waiters can select against their
 // request context and abandon the wait without abandoning the compute.
-// owner identifies the batch that claimed it (nil for DoBytes).
+// owner identifies the batch that claimed it (nil for a one-key range).
 type flightCall struct {
 	key   string
 	owner *batchOwner
@@ -100,7 +104,7 @@ func NewCache(capacity int, reg *obs.Registry) *Cache {
 }
 
 // Get returns the cached value for key, marking it most recently used.
-// It does not touch the hit/miss counters; DoBytes is the accounting
+// It does not touch the hit/miss counters; claim is the accounting
 // path.
 func (c *Cache) Get(key string) (any, bool) {
 	if c.capacity <= 0 {
@@ -114,41 +118,6 @@ func (c *Cache) Get(key string) (any, bool) {
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheItem).val, true
-}
-
-// DoBytes returns the cached value for key, or runs fn exactly once
-// across all concurrent callers of the same key and caches its result.
-// The second return reports whether the value came from the cache (a
-// coalesced caller that waited on another goroutine's computation also
-// reports true — it did not compute). Errors are returned to every
-// waiter and never cached.
-//
-// The key is built in a reusable byte buffer: the hit path looks it up
-// without converting it to a string, so a cache hit performs no key
-// allocation; the key bytes are only copied (once) on the miss/coalesce
-// path. The buffer may be reused immediately after return.
-//
-// ctx bounds only the coalesced wait: a caller whose context ends while
-// another goroutine computes the same key returns ctx.Err() immediately
-// instead of blocking on the in-flight computation. The computing
-// goroutine itself always runs fn to completion (the result is still
-// valuable to the cache and to other waiters), so fn needs no
-// cancellation plumbing of its own.
-//
-// DoBytes is claim, then fulfil or wait, for one key; a batch claims all
-// its keys first, computes what it owns together, fulfils every claim,
-// and only then waits (see Server.computeRange).
-func (c *Cache) DoBytes(ctx context.Context, key []byte, fn func() (any, error)) (any, bool, error) {
-	cl := c.claim(key, nil)
-	switch cl.kind {
-	case claimHit:
-		return cl.val, true, nil
-	case claimOwn:
-		v, err := fn()
-		c.fulfil(cl.fl, v, err)
-		return v, false, err
-	}
-	return c.wait(ctx, cl.fl)
 }
 
 // claim looks key up and counts the lookup: a hit, a miss the caller now

@@ -16,32 +16,54 @@ import (
 // newTestCache builds a cache counting into a registry of its own.
 func newTestCache(capacity int) *Cache { return NewCache(capacity, obs.NewRegistry("")) }
 
+// lookup is one key's claim, then fulfil or wait: the path a
+// one-configuration range takes through the cache (Server.computeRange).
+// The second return reports whether the value came from the cache or
+// from another caller's flight rather than from fn.
+func lookup(ctx context.Context, c *Cache, key string, fn func() (any, error)) (any, bool, error) {
+	cl := c.claim([]byte(key), nil)
+	switch cl.kind {
+	case claimHit:
+		return cl.val, true, nil
+	case claimOwn:
+		v, err := fn()
+		c.fulfil(cl.fl, v, err)
+		return v, false, err
+	}
+	return c.wait(ctx, cl.fl)
+}
+
 func constant(v any) func() (any, error) {
 	return func() (any, error) { return v, nil }
 }
 
 func TestCacheHitMiss(t *testing.T) {
 	c := newTestCache(4)
-	v, hit, err := c.DoBytes(context.Background(), []byte("a"), constant(1))
-	if err != nil || hit || v != 1 {
-		t.Fatalf("first DoBytes = %v, %v, %v", v, hit, err)
+	cl := c.claim([]byte("a"), nil)
+	if cl.kind != claimOwn || cl.fl == nil {
+		t.Fatalf("first claim = %+v, want an owned miss with a flight", cl)
 	}
-	v, hit, err = c.DoBytes(context.Background(), []byte("a"), constant(2))
+	c.fulfil(cl.fl, 1, nil)
+	cl = c.claim([]byte("a"), nil)
+	if cl.kind != claimHit || cl.val != 1 {
+		t.Fatalf("second claim = %+v, want cached 1", cl)
+	}
+	v, hit, err := lookup(context.Background(), c, "a", constant(2))
 	if err != nil || !hit || v != 1 {
-		t.Fatalf("second DoBytes = %v, %v, %v (want cached 1)", v, hit, err)
+		t.Fatalf("third lookup = %v, %v, %v (want cached 1)", v, hit, err)
 	}
 	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Size != 1 {
+	if s.Hits != 2 || s.Misses != 1 || s.Size != 1 {
 		t.Fatalf("stats %+v", s)
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newTestCache(2)
-	c.DoBytes(context.Background(), []byte("a"), constant(1))
-	c.DoBytes(context.Background(), []byte("b"), constant(2))
-	c.DoBytes(context.Background(), []byte("a"), constant(0)) // touch a; b becomes LRU
-	c.DoBytes(context.Background(), []byte("c"), constant(3)) // evicts b
+	lookup(context.Background(), c, "a", constant(1))
+	lookup(context.Background(), c, "b", constant(2))
+	lookup(context.Background(), c, "a", constant(0)) // touch a; b becomes LRU
+	lookup(context.Background(), c, "c", constant(3)) // evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived eviction")
 	}
@@ -58,10 +80,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	fn := func() (any, error) { calls++; return nil, boom }
-	if _, _, err := c.DoBytes(context.Background(), []byte("k"), fn); !errors.Is(err, boom) {
+	if _, _, err := lookup(context.Background(), c, "k", fn); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := c.DoBytes(context.Background(), []byte("k"), fn); !errors.Is(err, boom) {
+	if _, _, err := lookup(context.Background(), c, "k", fn); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if calls != 2 {
@@ -83,13 +105,13 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.DoBytes(context.Background(), []byte("hot"), func() (any, error) {
+			v, _, err := lookup(context.Background(), c, "hot", func() (any, error) {
 				computes.Add(1)
 				<-release // hold every concurrent caller in the miss window
 				return "value", nil
 			})
 			if err != nil {
-				t.Errorf("DoBytes: %v", err)
+				t.Errorf("lookup: %v", err)
 			}
 			results[i] = v
 		}(i)
@@ -126,7 +148,7 @@ func TestCacheCoalescedWaitAbandonsOnCancel(t *testing.T) {
 	release := make(chan struct{})
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.DoBytes(context.Background(), []byte("k"), func() (any, error) {
+		_, _, err := lookup(context.Background(), c, "k", func() (any, error) {
 			close(inFn)
 			<-release
 			return "v", nil
@@ -138,7 +160,7 @@ func TestCacheCoalescedWaitAbandonsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.DoBytes(ctx, []byte("k"), func() (any, error) {
+		_, _, err := lookup(ctx, c, "k", func() (any, error) {
 			t.Error("coalesced waiter recomputed the key")
 			return nil, nil
 		})
@@ -174,8 +196,8 @@ func TestCacheDisabled(t *testing.T) {
 	c := newTestCache(0)
 	calls := 0
 	fn := func() (any, error) { calls++; return calls, nil }
-	c.DoBytes(context.Background(), []byte("k"), fn)
-	v, hit, _ := c.DoBytes(context.Background(), []byte("k"), fn)
+	lookup(context.Background(), c, "k", fn)
+	v, hit, _ := lookup(context.Background(), c, "k", fn)
 	if hit || v != 2 || calls != 2 {
 		t.Fatalf("disabled cache served a hit: v=%v hit=%v calls=%d", v, hit, calls)
 	}
@@ -193,9 +215,9 @@ func TestCacheConcurrentMixed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprint(i % 48) // wider than capacity: exercises eviction
-				v, _, err := c.DoBytes(context.Background(), []byte(key), constant(key))
+				v, _, err := lookup(context.Background(), c, key, constant(key))
 				if err != nil || v != key {
-					t.Errorf("DoBytes(%s) = %v, %v", key, v, err)
+					t.Errorf("lookup(%s) = %v, %v", key, v, err)
 					return
 				}
 			}

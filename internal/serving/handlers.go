@@ -491,11 +491,12 @@ func (s *Server) computeBatch(ctx context.Context, entry *Entry, req *PredictReq
 // computeRange computes configs[lo:hi] into out, reusing kb as the cache
 // key buffer, and returns the index of the lowest failing configuration
 // with its error. rt is non-nil only for single-configuration requests,
-// which get cache_lookup / model_eval / calibration spans.
+// which get a cache_lookup span enclosing the model_eval and calibration
+// spans of a miss.
 //
-// One configuration goes through DoBytes and Evaluate. Several go in
-// three passes, so the model's forests are walked once for all the
-// range's misses (core.EvaluateBatch) rather than once per miss:
+// Every range, one configuration included, goes in three passes, so the
+// model's forests are walked once for all the range's misses
+// (core.EvaluateBatch) rather than once per miss:
 //
 //  1. claim every key, in index order: hits are read, misses become this
 //     range's claims, keys another request is computing become waits;
@@ -506,38 +507,32 @@ func (s *Server) computeBatch(ctx context.Context, entry *Entry, req *PredictReq
 //     fill out in index order.
 //
 // With the batch's entries fitting in the cache, the results, their
-// Cached flags and the cache counters are those of a serial DoBytes per
-// configuration: a key repeated inside the range counts as a hit, as the
+// Cached flags and the cache counters are those of one request per
+// configuration: a key repeated inside the range counts as a hit, as a
 // serial pass would find the first occurrence's result cached.
 func (s *Server) computeRange(ctx context.Context, entry *Entry, req *PredictRequest, configs [][]float64, out []ConfigResult, lo, hi int, kb []byte, rt *obs.ReqTrace) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return lo, err
 	}
 	m := entry.Model
-	if hi-lo == 1 {
-		cfg := configs[lo]
-		kb = appendPredictKey(kb[:0], entry, req, cfg)
-		ls := rt.StartSpan()
-		v, hit, err := s.cache.DoBytes(ctx, kb, func() (any, error) {
-			if s.synthDelay > 0 {
-				time.Sleep(s.synthDelay)
-			}
-			es := rt.StartSpan()
-			ev := m.Evaluate(cfg, req.Interval)
-			return newResult(m, req, cfg, &ev, rt, es)
-		})
-		rt.EndSpan("cache_lookup", ls)
-		if err != nil {
-			return lo, err
-		}
-		s.place(out, lo, v, hit)
-		return -1, nil
-	}
+	defer rt.EndSpan("cache_lookup", rt.StartSpan())
 
-	// Pass 1: claim.
-	owner := new(batchOwner)
-	claims := make([]claim, hi-lo)
-	var owned []int
+	// Pass 1: claim. One key cannot repeat inside its range, so it needs
+	// no owner; one claim, owned row and evaluation live in one-element
+	// arrays on the stack, so a single configuration allocates no more
+	// than a lone lookup would.
+	var (
+		oneClaim [1]claim
+		oneOwned [1]int
+		oneRow   [1][]float64
+		oneEval  [1]core.Eval
+	)
+	claims, owned := oneClaim[:], oneOwned[:0]
+	var owner *batchOwner
+	if hi-lo > 1 {
+		owner = new(batchOwner)
+		claims = make([]claim, hi-lo)
+	}
 	for i := lo; i < hi; i++ {
 		kb = appendPredictKey(kb[:0], entry, req, configs[i])
 		claims[i-lo] = s.cache.claim(kb, owner)
@@ -551,7 +546,10 @@ func (s *Server) computeRange(ctx context.Context, entry *Entry, req *PredictReq
 		if s.synthDelay > 0 {
 			time.Sleep(time.Duration(len(owned)) * s.synthDelay)
 		}
-		rows := make([][]float64, len(owned))
+		rows, evs := oneRow[:], oneEval[:]
+		if len(owned) > 1 {
+			rows, evs = make([][]float64, len(owned)), make([]core.Eval, len(owned))
+		}
 		for j, i := range owned {
 			rows[j] = configs[i]
 		}
@@ -561,11 +559,10 @@ func (s *Server) computeRange(ctx context.Context, entry *Entry, req *PredictReq
 		if req.At > 0 {
 			atErr = m.CheckScale(req.At)
 		}
-		var evs []core.Eval
+		es := rt.StartSpan()
 		if atErr == nil {
 			// Interval is a normalized coverage by here (see
 			// handlePredict), 0 when no band was asked for.
-			evs = make([]core.Eval, len(rows))
 			m.EvaluateBatch(rows, req.Interval, evs)
 		}
 		for j, i := range owned {
@@ -573,16 +570,15 @@ func (s *Server) computeRange(ctx context.Context, entry *Entry, req *PredictReq
 			if atErr != nil {
 				cl.err = atErr
 			} else {
-				cl.val, cl.err = newResult(m, req, configs[i], &evs[j], nil, obs.SpanClock{})
+				cl.val, cl.err = newResult(m, req, configs[i], &evs[j], rt, es)
 			}
 			s.cache.fulfil(cl.fl, cl.val, cl.err)
 		}
 	}
 
 	// Pass 3: resolve in index order; the first error is the lowest. A
-	// deadline that passed during the evaluation fails the range, as the
-	// serial path checks it before each configuration; what was computed
-	// stays cached.
+	// deadline that passed during the evaluation fails the range; what
+	// was computed stays cached.
 	if err := ctx.Err(); err != nil {
 		return lo, err
 	}

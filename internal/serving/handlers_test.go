@@ -465,3 +465,47 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("post-panic predict status %d", code)
 	}
 }
+
+// TestSingleConfigSpanTree pins the span tree of a traced
+// one-configuration request, which the per-layer breakdown subtracts
+// (cache_lookup − model_eval − calibration): on a miss, cache_lookup
+// encloses model_eval and then calibration; on a hit, cache_lookup is
+// the only one of the three.
+func TestSingleConfigSpanTree(t *testing.T) {
+	s, _, _, params := newTestServer(t, DefaultOptions())
+	req := PredictRequest{Params: params[0], Interval: 0.8}
+	spans := func() map[string][]obs.Span {
+		t.Helper()
+		var resp PredictResponse
+		if code := doJSON(t, s.Handler(), "POST", "/v1/predict", req, &resp); code != http.StatusOK {
+			t.Fatalf("status %d", code)
+		}
+		got := map[string][]obs.Span{}
+		for _, sp := range s.Tracer().Snapshot(1, false)[0].Spans {
+			got[sp.Name] = append(got[sp.Name], sp)
+		}
+		return got
+	}
+	end := func(sp obs.Span) int64 { return sp.StartNS + sp.DurNS }
+
+	miss := spans()
+	for _, name := range []string{"cache_lookup", "model_eval", "calibration"} {
+		if len(miss[name]) != 1 {
+			t.Fatalf("miss records %d %s spans, want 1 (spans %v)", len(miss[name]), name, miss)
+		}
+	}
+	lookup, eval, cal := miss["cache_lookup"][0], miss["model_eval"][0], miss["calibration"][0]
+	for _, inner := range []obs.Span{eval, cal} {
+		if inner.StartNS < lookup.StartNS || end(inner) > end(lookup) {
+			t.Fatalf("%s %+v outside cache_lookup %+v", inner.Name, inner, lookup)
+		}
+	}
+	if end(eval) > cal.StartNS {
+		t.Fatalf("model_eval %+v overlaps calibration %+v", eval, cal)
+	}
+
+	hit := spans()
+	if len(hit["cache_lookup"]) != 1 || len(hit["model_eval"]) != 0 || len(hit["calibration"]) != 0 {
+		t.Fatalf("hit spans %v, want cache_lookup alone", hit)
+	}
+}

@@ -225,6 +225,37 @@ func TestComputeTimeoutSheds(t *testing.T) {
 	}
 }
 
+// TestComputeTimeoutShedsPoint: one configuration takes the range path
+// a batch takes, so a deadline that passes during its evaluation sheds
+// it as a timeout, and the value it computed stays cached for the next
+// request.
+func TestComputeTimeoutShedsPoint(t *testing.T) {
+	opts := DefaultOptions()
+	opts.SyntheticDelay = 30 * time.Millisecond
+	s, _, _, params := newTestServer(t, opts)
+	req := PredictRequest{Params: params[0]}
+
+	var shed ShedResponse
+	code, _ := doJSONDeadline(t, s.Handler(), req, "5", &shed)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", code)
+	}
+	if shed.Reason != loadctl.ShedTimeout || shed.Class != "point" {
+		t.Fatalf("shed body %+v", shed)
+	}
+	if got := s.LoadController().Snapshot().Timeouts.Point; got != 1 {
+		t.Fatalf("timeout counter %d, want 1", got)
+	}
+
+	var resp PredictResponse
+	if code, _ := doJSONDeadline(t, s.Handler(), req, "", &resp); code != http.StatusOK {
+		t.Fatalf("retry status %d, want 200", code)
+	}
+	if len(resp.Results) != 1 || !resp.Results[0].Cached {
+		t.Fatalf("retry %+v, want the timed-out request's cached result", resp.Results)
+	}
+}
+
 func TestHealthzDraining(t *testing.T) {
 	s, _, _, _ := newTestServer(t, DefaultOptions())
 	var st map[string]any

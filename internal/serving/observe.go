@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/uncertainty"
 )
@@ -57,8 +59,10 @@ type ObserveResponse struct {
 // handleObserve ingests measured runtimes for past predictions: each is
 // scored against the active generation's interval at the monitor's
 // nominal coverage, feeding the per-scale coverage/MAPE windows that
-// detect drift. The loop is feedback, not bookkeeping — a breach here
-// kicks the retraining pipeline through the server's OnDrift hook.
+// detect drift. The request's configurations are evaluated as one batch
+// (core.EvaluateBatch), and the monitor is fed in index order. The loop
+// is feedback, not bookkeeping — a breach here kicks the retraining
+// pipeline through the server's OnDrift hook.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, rt *obs.ReqTrace) {
 	var req ObserveRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -87,10 +91,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, rt *obs.R
 		return
 	}
 
+	// Every observation is checked before any reaches the monitor, so a
+	// rejected request leaves the monitor as it found it.
 	m := entry.Model
 	want := len(m.ParamNames)
-	coverage := s.drift.Config().Coverage
-	resp := ObserveResponse{Model: entry.Name, Version: entry.Version, Results: make([]ObserveResult, len(obs))}
+	rows := make([][]float64, len(obs))
+	scaleIdx := make([]int, len(obs))
 	for i, o := range obs {
 		if len(o.Params) != want {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf(
@@ -102,33 +108,30 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, rt *obs.R
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("observation %d has non-positive runtime %v", i, o.Runtime))
 			return
 		}
-		ev := m.Evaluate(o.Params, coverage)
-		ivs := m.Intervals(&ev)
-		var res ObserveResult
-		found := false
-		for _, iv := range ivs {
-			if iv.Scale == o.Scale {
-				res = ObserveResult{Scale: o.Scale, Predicted: iv.Mid, Lo: iv.Lo, Hi: iv.Hi}
-				found = true
-				break
-			}
-		}
-		if !found {
+		scaleIdx[i] = slices.Index(m.Cfg.LargeScales, o.Scale)
+		if scaleIdx[i] < 0 {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf(
 				"observation %d at scale %d: model %q serves scales %v",
 				i, o.Scale, entry.Name, m.Cfg.LargeScales))
 			return
 		}
+		rows[i] = o.Params
+	}
+
+	evs := make([]core.Eval, len(obs))
+	m.EvaluateBatch(rows, s.drift.Config().Coverage, evs)
+	resp := ObserveResponse{Model: entry.Name, Version: entry.Version, Results: make([]ObserveResult, len(obs))}
+	for i, o := range obs {
+		iv := m.Intervals(&evs[i])[scaleIdx[i]]
 		// The request ID rides along as the observation's origin: if this
 		// is the observation that tips coverage below the floor, the drift
 		// kick (and the journal entry the retrain writes) carries it, so
 		// the whole retraining episode is traceable back to this request.
-		out := s.drift.Observe(entry.Name, o.Scale, res.Predicted, res.Lo, res.Hi, o.Runtime, rt.ID())
-		res.Covered = out.Covered
-		res.APE = out.APE
-		res.Drift = out.BreachStarted
-		res.Reason = out.Reason
-		resp.Results[i] = res
+		out := s.drift.Observe(entry.Name, o.Scale, iv.Mid, iv.Lo, iv.Hi, o.Runtime, rt.ID())
+		resp.Results[i] = ObserveResult{
+			Scale: o.Scale, Predicted: iv.Mid, Lo: iv.Lo, Hi: iv.Hi,
+			Covered: out.Covered, APE: out.APE, Drift: out.BreachStarted, Reason: out.Reason,
+		}
 		s.metrics.observations.Inc()
 	}
 	resp.Monitor = s.drift.Monitor(entry.Name).Snapshot()

@@ -2,6 +2,8 @@ package serving
 
 import (
 	"net/http"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -133,5 +135,40 @@ func TestModelsReportCalibrationStatus(t *testing.T) {
 	// must honestly report itself uncalibrated.
 	if body.Models[0].Calibrated || body.Models[0].CalibrationSamples != 0 {
 		t.Fatalf("uncalibrated fixture reports %+v", body.Models[0])
+	}
+}
+
+// TestObserveRejectedBatchLeavesMonitorUntouched: a request is checked
+// whole before any of it is scored, so observations ahead of an invalid
+// one never reach the drift monitor of a request that gets a 400.
+func TestObserveRejectedBatchLeavesMonitorUntouched(t *testing.T) {
+	s, _, m, params := newTestServer(t, DefaultOptions())
+	p := params[0]
+	scale := m.Cfg.LargeScales[0]
+	runtime := m.Predict(p)[0]
+	var resp ObserveResponse
+	if code := doJSON(t, s.Handler(), "POST", "/v1/observe",
+		ObserveRequest{Params: p, Scale: scale, Runtime: runtime}, &resp); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	before, beforeN := s.drift.Snapshot(), s.metrics.observations.Load()
+
+	var errBody map[string]string
+	code := doJSON(t, s.Handler(), "POST", "/v1/observe", ObserveRequest{Observations: []Observation{
+		{Params: p, Scale: scale, Runtime: runtime},
+		{Params: params[1], Scale: scale, Runtime: 50 * runtime},
+		{Params: p, Scale: 77, Runtime: runtime},
+	}}, &errBody)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", code)
+	}
+	if want := "observation 2 at scale 77"; !strings.Contains(errBody["error"], want) {
+		t.Fatalf("error %q does not name %q", errBody["error"], want)
+	}
+	if after := s.drift.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected request moved the monitor:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if n := s.metrics.observations.Load(); n != beforeN {
+		t.Fatalf("observations counter %d after a rejected request, want %d", n, beforeN)
 	}
 }
