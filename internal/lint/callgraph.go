@@ -42,20 +42,23 @@ type FuncNode struct {
 	ParamObjs  []types.Object
 	ResultObjs []types.Object
 	Variadic   bool
+
+	// Calls lists the body's statically resolved call sites in source
+	// order.
+	Calls []CallEdge
 }
 
 // CallEdge is one statically resolved call site.
 type CallEdge struct {
-	Caller, Callee string // FuncNode IDs
-	Pos            token.Pos
+	Callee *FuncNode
+	Pos    token.Pos
 }
 
-// CallGraph is the module-wide graph. Funcs and Edges are in deterministic
-// source order (packages topologically, files as loaded, declarations top
-// to bottom, literals by position within their parent).
+// CallGraph is the module-wide graph. Funcs are in deterministic source
+// order (packages topologically, files as loaded, declarations top to
+// bottom, literals by position within their parent).
 type CallGraph struct {
 	Funcs []*FuncNode
-	Edges []CallEdge
 
 	byObj map[*types.Func]*FuncNode
 	byLit map[*ast.FuncLit]*FuncNode
@@ -101,12 +104,27 @@ func BuildCallGraph(mod *Module) *CallGraph {
 	return cg
 }
 
-// FuncByObj returns the node for a declared function, nil if the object
-// has no body in the module.
-func (cg *CallGraph) FuncByObj(obj *types.Func) *FuncNode { return cg.byObj[obj] }
+// callGraph returns the module's call graph, built once and shared by
+// every module-scoped analyzer of a run.
+func (mod *Module) callGraph() *CallGraph {
+	if mod.graph == nil {
+		mod.graph = BuildCallGraph(mod)
+	}
+	return mod.graph
+}
 
-// FuncByLit returns the node for a function literal.
-func (cg *CallGraph) FuncByLit(lit *ast.FuncLit) *FuncNode { return cg.byLit[lit] }
+// callee resolves a call to the module function it runs: a declared
+// function or method with a body in the module, or a literal called in
+// place. nil otherwise.
+func (cg *CallGraph) callee(info *types.Info, call *ast.CallExpr) *FuncNode {
+	if obj := staticCallee(info, call); obj != nil {
+		return cg.byObj[obj]
+	}
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		return cg.byLit[lit]
+	}
+	return nil
+}
 
 func (cg *CallGraph) addDecl(pkg *Package, d *ast.FuncDecl) *FuncNode {
 	fn := &FuncNode{Pkg: pkg, Node: d, Body: d.Body}
@@ -184,24 +202,37 @@ func fieldObjs(info *types.Info, fields *ast.FieldList) (objs []types.Object, va
 // Nested literals are separate nodes and are skipped here.
 func (cg *CallGraph) addEdges(fn *FuncNode) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
+		switch n := n.(type) {
+		case *ast.FuncLit:
 			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var callee *FuncNode
-		if obj := staticCallee(fn.Pkg.Info, call); obj != nil {
-			callee = cg.byObj[obj]
-		} else if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-			callee = cg.byLit[lit]
-		}
-		if callee != nil {
-			cg.Edges = append(cg.Edges, CallEdge{Caller: fn.ID, Callee: callee.ID, Pos: call.Pos()})
+		case *ast.CallExpr:
+			if callee := cg.callee(fn.Pkg.Info, n); callee != nil {
+				fn.Calls = append(fn.Calls, CallEdge{Callee: callee, Pos: n.Pos()})
+			}
 		}
 		return true
 	})
+}
+
+// calleeFirst lists Funcs so that, outside recursion, every function
+// comes after the functions it calls.
+func (cg *CallGraph) calleeFirst() []*FuncNode {
+	order := make([]*FuncNode, 0, len(cg.Funcs))
+	seen := map[*FuncNode]bool{}
+	var visit func(*FuncNode)
+	visit = func(fn *FuncNode) {
+		if !seen[fn] {
+			seen[fn] = true
+			for _, c := range fn.Calls {
+				visit(c.Callee)
+			}
+			order = append(order, fn)
+		}
+	}
+	for _, fn := range cg.Funcs {
+		visit(fn)
+	}
+	return order
 }
 
 // staticCallee resolves a call to its declared function object: direct
@@ -225,16 +256,12 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 // line per node, indented lines per outgoing edge, in graph order.
 func (cg *CallGraph) String(fset *token.FileSet) string {
 	var b strings.Builder
-	edgesByCaller := map[string][]CallEdge{}
-	for _, e := range cg.Edges {
-		edgesByCaller[e.Caller] = append(edgesByCaller[e.Caller], e)
-	}
 	for _, fn := range cg.Funcs {
 		pos := fset.Position(fn.Node.Pos())
 		_, _ = fmt.Fprintf(&b, "%s (%s:%d)\n", fn.ID, pos.Filename, pos.Line)
-		for _, e := range edgesByCaller[fn.ID] {
-			p := fset.Position(e.Pos)
-			_, _ = fmt.Fprintf(&b, "  -> %s @%d:%d\n", e.Callee, p.Line, p.Column)
+		for _, c := range fn.Calls {
+			p := fset.Position(c.Pos)
+			_, _ = fmt.Fprintf(&b, "  -> %s @%d:%d\n", c.Callee.ID, p.Line, p.Column)
 		}
 	}
 	return b.String()

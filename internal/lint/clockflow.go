@@ -53,41 +53,22 @@ var clockStructSinks = map[string]string{
 }
 
 func runClockFlow(mp *ModulePass) {
-	cg := BuildCallGraph(mp.Mod)
-	cfg := &taintConfig{
-		maxDepth: defaultTaintDepth,
-		isSource: func(pkg *Package, call *ast.CallExpr) (string, bool) {
-			for _, fn := range wallClockFuncs {
-				if isPkgFunc(pkg.Info, call, "time", fn) {
-					return "time." + fn, true
-				}
-			}
-			return "", false
-		},
+	runTaint(mp, &taintConfig{
+		isSource:    wallClockCall,
 		callSink:    matchCallSinks(clockCallSinks),
 		structSinks: clockStructSinks,
 		report: func(src *taintSource, sinkPos token.Pos, sink string) {
 			mp.Reportf(src.pos, "%s value flows into %s at %s; persisted artifacts must be clock-free so reruns are byte-identical — derive the value from data, or annotate this boundary", src.desc, sink, mp.Position(sinkPos))
 		},
-		giveUp: func(pos token.Pos, src *taintSource) {
-			if src == nil {
-				mp.Reportf(pos, "taint analysis did not converge within %d rounds; treat the module as unverified and simplify the offending flow", taintMaxRounds)
-				return
-			}
-			// Reported at the SOURCE like sink findings, so the one allow
-			// at the clock read also covers chains the engine lost track of.
-			mp.Reportf(src.pos, "taint path from this %s exceeds the interprocedural depth bound (%d) at %s; clockflow cannot prove the flow artifact-free — shorten the call chain or annotate this clock read", src.desc, defaultTaintDepth, mp.Position(pos))
-		},
-	}
-	newTaintEngine(cg, cfg).run()
+	})
 }
 
 // matchCallSinks builds a callSink classifier from a (pkg, recv, name)
 // table. recv "" matches package-level functions; otherwise the receiver's
 // named type (pointer or value) must match.
-func matchCallSinks(sinks []struct{ pkg, recv, name, desc string }) func(*Package, *ast.CallExpr) (string, bool) {
-	return func(pkg *Package, call *ast.CallExpr) (string, bool) {
-		obj := staticCallee(pkg.Info, call)
+func matchCallSinks(sinks []struct{ pkg, recv, name, desc string }) func(*types.Info, *ast.CallExpr) (string, bool) {
+	return func(info *types.Info, call *ast.CallExpr) (string, bool) {
+		obj := staticCallee(info, call)
 		if obj == nil || obj.Pkg() == nil {
 			return "", false
 		}

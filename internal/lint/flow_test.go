@@ -86,22 +86,88 @@ func TestRandFlowModuleFixture(t *testing.T) {
 	checkModuleFixture(t, lint.RandFlow, "flowmod")
 }
 
-// TestTaintDepthGiveUpReports pins the fail-closed contract: a flow the
-// engine loses past the depth bound must produce a finding that says so,
-// not silently pass.
-func TestTaintDepthGiveUpReports(t *testing.T) {
+// TestLongTaintChainReportsFlow: a clock read laundered across 13 call
+// boundaries, and across 30, is reported at the read as a flow into each
+// sink it reaches. The engine has no bound on call depth, so no chain,
+// however long, passes silently.
+func TestLongTaintChainReportsFlow(t *testing.T) {
 	mod := loadTestModule(t, "flowmod")
-	found := false
-	for _, d := range lint.Run(mod, []*lint.Analyzer{lint.ClockFlow}) {
-		if strings.Contains(d.Message, "depth bound") {
-			found = true
-			if !strings.Contains(filepath.Base(d.Pos.Filename)+":"+strconv.Itoa(d.Pos.Line), "main.go") {
-				t.Errorf("give-up reported away from the source: %s", d)
+	src, err := os.ReadFile(filepath.Join("testdata", "flowmod", "cmd", "tool", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineOf := func(text string) int {
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.Contains(line, text) {
+				return i + 1
 			}
 		}
+		t.Fatalf("fixture has no line containing %q", text)
+		return 0
 	}
-	if !found {
-		t.Error("13-hop chain produced no depth-bound give-up finding")
+	read := lineOf("func c13()")
+	diags := lint.Run(mod, []*lint.Analyzer{lint.ClockFlow})
+	for hops, sink := range map[int]string{13: "Entry{Time: c1()}", 30: "Entry{Time: d1()}"} {
+		at := "cmd/tool/main.go:" + strconv.Itoa(lineOf(sink)) + ";"
+		found := false
+		for _, d := range diags {
+			if filepath.Base(d.Pos.Filename) == "main.go" && d.Pos.Line == read && strings.Contains(d.Message, at) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("the %d-hop chain into %s is not reported at the clock read (main.go:%d): %v", hops, at, read, diags)
+		}
+	}
+}
+
+// TestTaintChainsPastRoundCap: a clock read returned up a 200-call chain
+// declared callers first, and a clock value passed down a 200-call chain
+// of arguments, each into a journal entry, are reported as flows at the
+// read. Rounds alternate callee-first and caller-first order, so neither
+// chain costs a round per hop; walked in declaration order alone, the
+// first would exhaust the 64-round cap and end in a give-up.
+func TestTaintChainsPastRoundCap(t *testing.T) {
+	const hops = 200
+	dir := t.TempDir()
+	var src strings.Builder
+	src.WriteString("package main\n\nimport (\n\t\"time\"\n\n\t\"repro/internal/pipeline\"\n)\n\n")
+	src.WriteString("func main() {\n\t_ = pipeline.Entry{Time: up1()}\n\tdown1(time.Now().String())\n}\n\n")
+	for i := 1; i < hops; i++ {
+		src.WriteString("func up" + strconv.Itoa(i) + "() string { return up" + strconv.Itoa(i+1) + "() }\n")
+		src.WriteString("func down" + strconv.Itoa(i) + "(s string) { down" + strconv.Itoa(i+1) + "(s) }\n")
+	}
+	src.WriteString("func up" + strconv.Itoa(hops) + "() string { return time.Now().String() }\n")
+	src.WriteString("func down" + strconv.Itoa(hops) + "(s string) { _ = pipeline.Entry{Time: s} }\n")
+	files := map[string]string{
+		"go.mod":                        "module repro\n\ngo 1.22\n",
+		"internal/pipeline/pipeline.go": "package pipeline\n\n// Entry is a journal record.\ntype Entry struct{ Time string }\n",
+		"cmd/tool/main.go":              src.String(),
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod, err := lint.LoadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := map[int]bool{}
+	for _, d := range lint.Run(mod, []*lint.Analyzer{lint.ClockFlow}) {
+		if !strings.Contains(d.Message, "flows into a pipeline journal entry") {
+			t.Errorf("unexpected finding: %s", d)
+		}
+		lines[d.Pos.Line] = true
+	}
+	// Line 11 is main's call of down1; up200, whose clock read is the
+	// other source, is the next-to-last line.
+	if up := strings.Count(src.String(), "\n") - 1; !lines[11] || !lines[up] || len(lines) != 2 {
+		t.Errorf("findings at lines %v, want 11 and %d", lines, up)
 	}
 }
 

@@ -37,6 +37,8 @@ type Module struct {
 	Path string // module path from go.mod
 	Fset *token.FileSet
 	Pkgs []*Package
+
+	graph *CallGraph // built on first use; see callGraph
 }
 
 // LoadModule discovers, parses, and type-checks every package under root.

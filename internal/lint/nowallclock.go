@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -28,6 +29,18 @@ var wallClockAllowedFiles = []string{
 
 // wallClockFuncs are the time-package functions that observe the clock.
 var wallClockFuncs = []string{"Now", "Since", "Until"}
+
+// wallClockCall reports whether call reads the wall clock, and names the
+// function it calls ("time.Now"). nowallclock, clockflow and randflow
+// all classify clock reads with it.
+func wallClockCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+	for _, fn := range wallClockFuncs {
+		if isPkgFunc(info, call, "time", fn) {
+			return "time." + fn, true
+		}
+	}
+	return "", false
+}
 
 // NoWallClock forbids time.Now / time.Since / time.Until outside
 // internal/serving and cmd/, keeping experiment artifacts seed-deterministic.
@@ -56,10 +69,8 @@ func runNoWallClock(pass *Pass) {
 			if !ok {
 				return true
 			}
-			for _, fn := range wallClockFuncs {
-				if isPkgFunc(pass.Info, call, "time", fn) {
-					pass.Reportf(call.Pos(), "time.%s in %s reads the wall clock; only internal/serving and cmd/ may observe real time", fn, pass.PkgPath)
-				}
+			if name, ok := wallClockCall(pass.Info, call); ok {
+				pass.Reportf(call.Pos(), "%s in %s reads the wall clock; only internal/serving and cmd/ may observe real time", name, pass.PkgPath)
 			}
 			return true
 		})

@@ -52,8 +52,7 @@ func runRandFlow(mp *ModulePass) {
 		randFlowCalls(mp, pkg)
 	}
 	randFlowSeeds(mp)
-	cg := BuildCallGraph(mp.Mod)
-	for _, fn := range cg.Funcs {
+	for _, fn := range mp.Mod.callGraph().Funcs {
 		if _, ok := fn.Node.(*ast.FuncDecl); ok {
 			randFlowSharing(mp, fn)
 		}
@@ -105,16 +104,12 @@ func randFlowCalls(mp *ModulePass, pkg *Package) {
 // randFlowSeeds taints values derived from the wall clock or a forbidden
 // generator and reports any that reach an internal/rng constructor seed.
 func randFlowSeeds(mp *ModulePass) {
-	cg := BuildCallGraph(mp.Mod)
-	cfg := &taintConfig{
-		maxDepth: defaultTaintDepth,
-		isSource: func(pkg *Package, call *ast.CallExpr) (string, bool) {
-			for _, fn := range wallClockFuncs {
-				if isPkgFunc(pkg.Info, call, "time", fn) {
-					return "time." + fn, true
-				}
+	runTaint(mp, &taintConfig{
+		isSource: func(info *types.Info, call *ast.CallExpr) (string, bool) {
+			if desc, ok := wallClockCall(info, call); ok {
+				return desc, true
 			}
-			if obj := staticCallee(pkg.Info, call); obj != nil && obj.Pkg() != nil {
+			if obj := staticCallee(info, call); obj != nil && obj.Pkg() != nil {
 				for _, bad := range forbiddenRandImports {
 					if obj.Pkg().Path() == bad {
 						return bad + "." + obj.Name(), true
@@ -123,8 +118,8 @@ func randFlowSeeds(mp *ModulePass) {
 			}
 			return "", false
 		},
-		callSink: func(pkg *Package, call *ast.CallExpr) (string, bool) {
-			obj := staticCallee(pkg.Info, call)
+		callSink: func(info *types.Info, call *ast.CallExpr) (string, bool) {
+			obj := staticCallee(info, call)
 			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != rngPkgPath {
 				return "", false
 			}
@@ -138,17 +133,7 @@ func randFlowSeeds(mp *ModulePass) {
 		report: func(src *taintSource, sinkPos token.Pos, sink string) {
 			mp.Reportf(src.pos, "%s value flows into %s at %s; the rng root must be seeded from a fixed or flag-provided integer so the run is reproducible", src.desc, sink, mp.Position(sinkPos))
 		},
-		giveUp: func(pos token.Pos, src *taintSource) {
-			if src == nil {
-				mp.Reportf(pos, "taint analysis did not converge within %d rounds; treat the module as unverified and simplify the offending flow", taintMaxRounds)
-				return
-			}
-			// Reported at the SOURCE like sink findings, so one allow at
-			// the offending read also covers chains the engine lost.
-			mp.Reportf(src.pos, "taint path from this %s exceeds the interprocedural depth bound (%d) at %s; randflow cannot prove the seed clean — shorten the call chain or annotate this read", src.desc, defaultTaintDepth, mp.Position(pos))
-		},
-	}
-	newTaintEngine(cg, cfg).run()
+	})
 }
 
 // randFlowSharing flags an rng stream reachable from two goroutines

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // taint.go is a forward, interprocedural taint engine over the call graph.
@@ -28,12 +29,25 @@ import (
 //     module, cascading hundreds of findings into unrelated commands.
 //     Instance-local containers lose cross-function aliasing flows (which
 //     the engine never promised — no alias analysis) and nothing else.
-//   - An object carries a SET of facts, one per distinct source. The
-//     engine is context-insensitive (a shared helper's parameter merges
-//     the taints of all its callers), so a single-fact lattice would let
-//     whichever source reaches a shared parameter first shadow every
-//     other source flowing through it. Per-source facts keep each
-//     (source, sink) pair independently reportable and suppressible.
+//   - An object carries a SET of facts, one per distinct source. A shared
+//     helper's parameter merges the taints of all its callers, so a
+//     single-fact lattice would let whichever source reaches it first
+//     shadow every other source flowing through it. Per-source facts keep
+//     each (source, sink) pair independently reportable and suppressible.
+//   - Results are summarized per call site, IFDS-style (Reps, Horwitz and
+//     Sagiv, POPL 1995). Each parameter and receiver starts with a formal
+//     pseudo-source standing for "whatever the caller passes"; a fact
+//     passed in at a call site is tagged with the callee, reaches the
+//     callee's sinks, and never leaves through its results. A call's
+//     result is the callee's result facts with each of its formals
+//     replaced by that site's argument taint. So a helper fed a clock
+//     value by one caller and a constant by another taints only the
+//     first caller's result, instead of every caller's facts merging
+//     into every other caller's.
+//     Pseudo-sources are never reported. A value stored where it outlives
+//     the call (a package or captured variable, or storage reached through
+//     the receiver or a parameter) drops its tag, since a later call may
+//     return it to any caller.
 //   - Calls into packages outside the module (stdlib) propagate
 //     conservatively: a tainted argument or receiver taints the result,
 //     so laundering through fmt.Sprintf, time.Time.Format, or strconv
@@ -43,76 +57,64 @@ import (
 //     are out of scope).
 //   - No alias analysis: writes through a pointer taint the pointer
 //     variable's object, not other names for the same storage.
-//   - Propagation across call boundaries is depth-bounded. Exceeding the
-//     bound REPORTS a give-up diagnostic (attributed to the source)
-//     instead of silently dropping the fact, so the bounded analysis
-//     fails closed.
 //
-// Facts only ever accumulate (per object, the first fact per source is
-// kept; the source set is finite), so the fixpoint terminates; rounds are
-// additionally capped, with a reported give-up on non-convergence.
+// Facts only ever accumulate, and there are finitely many (a source, and
+// the callee it entered or none), so the fixpoint terminates. Rounds
+// alternate callee-first and caller-first order, so a flow costs a round
+// per change of direction, or per turn around a recursion cycle.
 
-const (
-	// defaultTaintDepth bounds interprocedural hops per fact. Deep enough
-	// for every legitimate chain in this module (longest today is 5);
-	// exceeding it is reported, not ignored.
-	defaultTaintDepth = 12
+// taintMaxRounds caps fixpoint iterations (the module needs 5). Past it,
+// the engine reports non-convergence at the module's first function; an
+// allow at a source cannot suppress that report.
+const taintMaxRounds = 64
 
-	// taintMaxRounds caps fixpoint iterations as a backstop; each round
-	// extends every fact chain by at least one hop, so depth-bounded
-	// analyses converge far earlier.
-	taintMaxRounds = 64
-)
-
-// taintSource is one taint root (e.g. a time.Now() call site).
+// taintSource is one taint root (e.g. a time.Now() call site), or the
+// formal pseudo-source of a parameter (formal set; index -1 is the
+// receiver).
 type taintSource struct {
-	pos  token.Pos
-	desc string
+	pos    token.Pos
+	desc   string
+	formal *FuncNode
+	index  int
 }
 
-// taintFact records which source a value derives from and across how many
-// call boundaries the derivation traveled.
+// taintFact records which source a value derives from and, when the value
+// arrived through a callee's parameter, that callee.
 type taintFact struct {
-	src   *taintSource
-	depth int
+	src *taintSource
+	in  *FuncNode
 }
 
-// factSet holds at most one fact per distinct source. Sets only grow, and
-// the per-source fact never changes once installed, so propagation is
-// monotone and the fixpoint terminates.
-type factSet []*taintFact
+// factSet holds each distinct fact once. Sets only grow, so propagation
+// is monotone and the fixpoint terminates.
+type factSet []taintFact
 
-// add installs f unless a fact from the same source exists; reports growth.
-func (s factSet) add(f *taintFact) (factSet, bool) {
+// add installs f unless the set holds it; reports growth.
+func (s factSet) add(f taintFact) (factSet, bool) {
 	for _, have := range s {
-		if have.src == f.src {
+		if have == f {
 			return s, false
 		}
 	}
 	return append(s, f), true
 }
 
-// merge unions two sets (first fact per source wins); reports growth.
+// merge unions two sets; reports growth.
 func (s factSet) merge(other factSet) (factSet, bool) {
-	grew := false
+	n := len(s)
 	for _, f := range other {
-		var g bool
-		if s, g = s.add(f); g {
-			grew = true
-		}
+		s, _ = s.add(f)
 	}
-	return s, grew
+	return s, len(s) > n
 }
 
 // taintConfig parameterizes one engine run.
 type taintConfig struct {
-	maxDepth int
-
 	// isSource classifies a call as a taint root.
-	isSource func(pkg *Package, call *ast.CallExpr) (string, bool)
+	isSource func(info *types.Info, call *ast.CallExpr) (string, bool)
 	// callSink classifies a call as a sink; a tainted argument or
 	// receiver triggers report.
-	callSink func(pkg *Package, call *ast.CallExpr) (string, bool)
+	callSink func(info *types.Info, call *ast.CallExpr) (string, bool)
 	// structSinks maps "pkgpath.TypeName" to a description; assigning a
 	// tainted value to any field of such a type (directly or in a
 	// composite literal) triggers report.
@@ -120,9 +122,6 @@ type taintConfig struct {
 
 	// report receives each (source, sink) pair once.
 	report func(src *taintSource, sinkPos token.Pos, sink string)
-	// giveUp receives each (position, source) where the depth bound was
-	// hit once; src is nil for non-convergence.
-	giveUp func(pos token.Pos, src *taintSource)
 }
 
 type taintEngine struct {
@@ -130,60 +129,73 @@ type taintEngine struct {
 	cfg *taintConfig
 
 	objFacts map[types.Object]factSet
-	retFacts map[ast.Node]factSet // FuncDecl/FuncLit → some result tainted
+	retFacts map[ast.Node]factSet // FuncDecl/FuncLit → its results' summary
 	srcPool  map[token.Pos]*taintSource
 	reported map[[2]token.Pos]bool
-	gaveUp   map[[2]token.Pos]bool
 	changed  bool
 }
 
-func newTaintEngine(cg *CallGraph, cfg *taintConfig) *taintEngine {
-	if cfg.maxDepth <= 0 {
-		cfg.maxDepth = defaultTaintDepth
-	}
-	return &taintEngine{
-		cg:       cg,
+// runTaint drives one analysis over the module's call graph to a
+// fixpoint. All iteration is over the deterministic call-graph order, so
+// findings emerge in a stable order.
+func runTaint(mp *ModulePass, cfg *taintConfig) {
+	e := &taintEngine{
+		cg:       mp.Mod.callGraph(),
 		cfg:      cfg,
 		objFacts: map[types.Object]factSet{},
 		retFacts: map[ast.Node]factSet{},
 		srcPool:  map[token.Pos]*taintSource{},
 		reported: map[[2]token.Pos]bool{},
-		gaveUp:   map[[2]token.Pos]bool{},
 	}
-}
-
-// run drives the analysis to a fixpoint. All iteration is over the
-// deterministic call-graph order, so findings emerge in a stable order.
-func (e *taintEngine) run() {
+	for _, fn := range e.cg.Funcs {
+		if len(fn.ResultObjs) == 0 {
+			continue // no result to summarize: a formal could only be noise
+		}
+		// Index -1 is the receiver.
+		for i, obj := range append([]types.Object{fn.RecvObj}, fn.ParamObjs...) {
+			if obj != nil {
+				e.objFacts[obj] = factSet{{src: &taintSource{formal: fn, index: i - 1}}}
+			}
+		}
+	}
+	// Rounds alternate callee-first and caller-first order, so results
+	// climb a call chain, and arguments descend it, in one round.
+	order := e.cg.calleeFirst()
 	for round := 0; round < taintMaxRounds; round++ {
 		e.changed = false
-		for _, fn := range e.cg.Funcs {
+		for _, fn := range order {
 			e.walkFunc(fn)
 		}
 		if !e.changed {
 			return
 		}
+		slices.Reverse(order)
 	}
 	if len(e.cg.Funcs) > 0 {
-		e.cfg.giveUp(e.cg.Funcs[0].Node.Pos(), nil)
+		mp.Reportf(e.cg.Funcs[0].Node.Pos(), "taint analysis did not converge within %d rounds; treat the module as unverified and simplify the offending flow", taintMaxRounds)
 	}
 }
 
-// walkFunc applies the transfer functions of one function body. Nested
-// literals are separate call-graph nodes and are skipped here.
+// walkFunc applies the transfer functions of one function body, in
+// source order. Nested literals are separate call-graph nodes and are
+// skipped here.
 func (e *taintEngine) walkFunc(fn *FuncNode) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.AssignStmt:
-			e.handleAssign(fn.Pkg, n)
+			e.assign(fn, n.Lhs, n.Rhs)
 		case *ast.ValueSpec:
-			e.handleValueSpec(fn.Pkg, n)
+			lhs := make([]ast.Expr, len(n.Names))
+			for i, name := range n.Names {
+				lhs[i] = name
+			}
+			e.assign(fn, lhs, n.Values)
 		case *ast.ReturnStmt:
 			e.handleReturn(fn, n)
 		case *ast.RangeStmt:
-			e.handleRange(fn.Pkg, n)
+			e.handleRange(fn, n)
 		case *ast.CallExpr:
 			e.handleCall(fn.Pkg, n)
 		case *ast.CompositeLit:
@@ -195,37 +207,17 @@ func (e *taintEngine) walkFunc(fn *FuncNode) {
 
 // --- transfer functions ---
 
-func (e *taintEngine) handleAssign(pkg *Package, as *ast.AssignStmt) {
-	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
-		// a, b := f(): one multi-value source taints every target.
-		if fs := e.taintOf(pkg, as.Rhs[0]); len(fs) > 0 {
-			for _, l := range as.Lhs {
-				e.taintLValue(pkg, l, fs)
-			}
+// assign taints each target of lhs = rhs. A single multi-value rhs
+// (a, b := f()) taints every target.
+func (e *taintEngine) assign(fn *FuncNode, lhs, rhs []ast.Expr) {
+	for i, l := range lhs {
+		if len(rhs) == 1 {
+			i = 0
 		}
-		return
-	}
-	for i, l := range as.Lhs {
-		if i >= len(as.Rhs) {
+		if i >= len(rhs) {
 			break
 		}
-		if fs := e.taintOf(pkg, as.Rhs[i]); len(fs) > 0 {
-			e.taintLValue(pkg, l, fs)
-		}
-	}
-}
-
-func (e *taintEngine) handleValueSpec(pkg *Package, vs *ast.ValueSpec) {
-	for i, name := range vs.Names {
-		var fs factSet
-		if len(vs.Values) == 1 && len(vs.Names) > 1 {
-			fs = e.taintOf(pkg, vs.Values[0])
-		} else if i < len(vs.Values) {
-			fs = e.taintOf(pkg, vs.Values[i])
-		}
-		if len(fs) > 0 {
-			e.taintLValue(pkg, name, fs)
-		}
+		e.taintLValue(fn, l, e.taintOf(fn.Pkg, rhs[i]), false)
 	}
 }
 
@@ -233,68 +225,86 @@ func (e *taintEngine) handleReturn(fn *FuncNode, rs *ast.ReturnStmt) {
 	if len(rs.Results) == 0 {
 		// Bare return: named results carry whatever they were assigned.
 		for _, obj := range fn.ResultObjs {
-			if obj == nil {
-				continue
-			}
-			e.setRetFacts(fn.Node, e.objFacts[obj])
+			e.setRetFacts(fn, e.objFacts[obj]) // nil (unnamed) has no facts
 		}
 		return
 	}
 	for _, res := range rs.Results {
-		e.setRetFacts(fn.Node, e.taintOf(fn.Pkg, res))
+		e.setRetFacts(fn, e.taintOf(fn.Pkg, res))
 	}
 }
 
-func (e *taintEngine) handleRange(pkg *Package, rs *ast.RangeStmt) {
-	fs := e.taintOf(pkg, rs.X)
-	if len(fs) == 0 {
-		return
-	}
-	if rs.Key != nil {
-		e.taintLValue(pkg, rs.Key, fs)
-	}
-	if rs.Value != nil {
-		e.taintLValue(pkg, rs.Value, fs)
-	}
+func (e *taintEngine) handleRange(fn *FuncNode, rs *ast.RangeStmt) {
+	fs := e.taintOf(fn.Pkg, rs.X)
+	e.taintLValue(fn, rs.Key, fs, false) // a nil Key or Value takes nothing
+	e.taintLValue(fn, rs.Value, fs, false)
 }
 
 // handleCall performs the side effects of a call site: sink detection and
-// interprocedural propagation into module callees.
+// propagation into a module callee's parameters, tagged with the callee.
 func (e *taintEngine) handleCall(pkg *Package, call *ast.CallExpr) {
-	if desc, ok := e.cfg.callSink(pkg, call); ok {
+	if desc, ok := e.cfg.callSink(pkg.Info, call); ok {
 		for _, f := range e.argOrRecvTaint(pkg, call) {
 			e.reportSink(f.src, call.Pos(), desc)
 		}
 	}
-
-	var fn *FuncNode
-	if obj := staticCallee(pkg.Info, call); obj != nil {
-		fn = e.cg.FuncByObj(obj)
-	} else if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		fn = e.cg.FuncByLit(lit)
-	}
+	fn := e.cg.callee(pkg.Info, call)
 	if fn == nil {
 		return
 	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && fn.RecvObj != nil {
-		e.setObjFacts(fn.RecvObj, e.hop(e.taintOf(pkg, sel.X), call.Pos()))
+	e.setObjFacts(fn.RecvObj, retag(e.actual(pkg, call, fn, -1), fn))
+	for i, param := range fn.ParamObjs {
+		e.setObjFacts(param, retag(e.actual(pkg, call, fn, i), fn))
 	}
-	for i, arg := range call.Args {
-		fs := e.taintOf(pkg, arg)
-		if len(fs) == 0 {
-			continue
+}
+
+// actual is the taint a call passes fn for parameter index (-1: the
+// receiver). A variadic parameter takes every trailing argument.
+func (e *taintEngine) actual(pkg *Package, call *ast.CallExpr, fn *FuncNode, index int) factSet {
+	if index < 0 {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && fn.RecvObj != nil {
+			return e.taintOf(pkg, sel.X)
 		}
-		var param types.Object
-		switch {
-		case i < len(fn.ParamObjs):
-			param = fn.ParamObjs[i]
-		case fn.Variadic && len(fn.ParamObjs) > 0:
-			param = fn.ParamObjs[len(fn.ParamObjs)-1]
-		}
-		if param != nil {
-			e.setObjFacts(param, e.hop(fs, call.Pos()))
+		return nil
+	}
+	args := call.Args
+	if index >= len(args) {
+		return nil
+	}
+	if !fn.Variadic || index < len(fn.ParamObjs)-1 {
+		return e.taintOf(pkg, args[index])
+	}
+	var fs factSet
+	for _, a := range args[index:] {
+		fs, _ = fs.merge(e.taintOf(pkg, a))
+	}
+	return fs
+}
+
+// retag tags the real facts of fs with fn (nil: no callee) and drops the
+// pseudo-sources, which stand for real facts fs also carries.
+func retag(fs factSet, fn *FuncNode) factSet {
+	var out factSet
+	for _, f := range fs {
+		if f.src.formal == nil {
+			out, _ = out.add(taintFact{src: f.src, in: fn})
 		}
 	}
+	return out
+}
+
+// summary applies fn's result summary at one call site: fn's own formals
+// become the site's argument taints, and every other fact passes as is.
+func (e *taintEngine) summary(pkg *Package, call *ast.CallExpr, fn *FuncNode) factSet {
+	var out factSet
+	for _, f := range e.retFacts[fn.Node] {
+		if f.src.formal == fn {
+			out, _ = out.merge(e.actual(pkg, call, fn, f.src.index))
+		} else {
+			out, _ = out.add(f)
+		}
+	}
+	return out
 }
 
 // handleComposite reports tainted elements of sink-typed literals.
@@ -315,38 +325,57 @@ func (e *taintEngine) handleComposite(pkg *Package, cl *ast.CompositeLit) {
 }
 
 // taintLValue records that the storage behind l now holds tainted values.
-func (e *taintEngine) taintLValue(pkg *Package, l ast.Expr, fs factSet) {
+// indirect marks a write through a field, an element or a pointer.
+func (e *taintEngine) taintLValue(fn *FuncNode, l ast.Expr, fs factSet, indirect bool) {
+	info := fn.Pkg.Info
 	switch l := ast.Unparen(l).(type) {
 	case *ast.Ident:
 		if l.Name == "_" {
 			return
 		}
-		obj := pkg.Info.Defs[l]
+		obj := info.Defs[l]
 		if obj == nil {
-			obj = pkg.Info.Uses[l]
+			obj = info.Uses[l]
 		}
-		if obj != nil {
-			e.setObjFacts(obj, fs)
+		if obj != nil && outlives(fn, obj, indirect) {
+			// A later call may return the stored value to any caller, so
+			// the facts lose their callee tags.
+			fs = retag(fs, nil)
 		}
+		e.setObjFacts(obj, fs)
 	case *ast.SelectorExpr:
+		if id, ok := ast.Unparen(l.X).(*ast.Ident); ok {
+			if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
+				e.taintLValue(fn, l.Sel, fs, false) // pkg.Var = v writes the variable
+				return
+			}
+		}
 		// x.F = v: sink check on F's owner, then taint the container so
 		// later uses of x (passing it to a writer, returning it) carry the
 		// fact. The field object itself is deliberately not tracked — see
 		// the package comment on instance-locality.
-		if desc, ok := e.structSinkType(pkg.Info.TypeOf(l.X)); ok {
+		if desc, ok := e.structSinkType(info.TypeOf(l.X)); ok {
 			for _, f := range fs {
 				e.reportSink(f.src, l.Sel.Pos(), desc)
 			}
 		}
-		e.taintLValue(pkg, l.X, fs)
+		e.taintLValue(fn, l.X, fs, true)
 	case *ast.IndexExpr:
-		e.taintLValue(pkg, l.X, fs) // element write taints the container
+		e.taintLValue(fn, l.X, fs, true) // element write taints the container
 	case *ast.StarExpr:
-		e.taintLValue(pkg, l.X, fs) // *p = v taints p (no alias analysis)
+		e.taintLValue(fn, l.X, fs, true) // *p = v taints p (no alias analysis)
 	}
 }
 
-// --- expression taint (side-effect free except give-up dedup) ---
+// outlives reports whether a write to obj survives fn's call: obj is a
+// package or captured variable, or the write goes through fn's receiver,
+// a parameter or a result, whose storage the caller may share.
+func outlives(fn *FuncNode, obj types.Object, indirect bool) bool {
+	p := obj.Pos()
+	return p < fn.Node.Pos() || p >= fn.Node.End() || indirect && p < fn.Body.Pos()
+}
+
+// --- expression taint (side-effect free) ---
 
 func (e *taintEngine) taintOf(pkg *Package, x ast.Expr) factSet {
 	info := pkg.Info
@@ -406,11 +435,7 @@ func (e *taintEngine) taintOf(pkg *Package, x ast.Expr) factSet {
 	case *ast.CompositeLit:
 		var fs factSet
 		for _, elt := range x.Elts {
-			v := elt
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				v = kv.Value
-			}
-			fs, _ = fs.merge(e.taintOf(pkg, v))
+			fs, _ = fs.merge(e.taintOf(pkg, elt)) // a KeyValueExpr yields its value's
 		}
 		return fs
 	case *ast.FuncLit:
@@ -423,13 +448,13 @@ func (e *taintEngine) taintOf(pkg *Package, x ast.Expr) factSet {
 // callTaint computes the taint of a call expression's result.
 func (e *taintEngine) callTaint(pkg *Package, call *ast.CallExpr) factSet {
 	info := pkg.Info
-	if desc, ok := e.cfg.isSource(pkg, call); ok {
+	if desc, ok := e.cfg.isSource(info, call); ok {
 		src := e.srcPool[call.Pos()]
 		if src == nil {
 			src = &taintSource{pos: call.Pos(), desc: desc}
 			e.srcPool[call.Pos()] = src
 		}
-		return factSet{&taintFact{src: src}}
+		return factSet{{src: src}}
 	}
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		// Conversion T(x): taint passes through.
@@ -452,26 +477,14 @@ func (e *taintEngine) callTaint(pkg *Package, call *ast.CallExpr) factSet {
 			return nil
 		}
 	}
-	if obj := staticCallee(info, call); obj != nil {
-		if fn := e.cg.FuncByObj(obj); fn != nil {
-			return e.hop(e.retFacts[fn.Node], call.Pos())
-		}
-		return e.externalCallTaint(pkg, call)
+	if fn := e.cg.callee(pkg.Info, call); fn != nil {
+		return e.summary(pkg, call, fn)
 	}
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		return e.hop(e.retFacts[lit], call.Pos())
-	}
-	// Indirect call through a variable or field: conservative.
-	if fs := e.taintOf(pkg, call.Fun); len(fs) > 0 {
-		return fs
-	}
-	return e.externalCallTaint(pkg, call)
-}
-
-// externalCallTaint is the conservative rule for functions without a body
-// in the module: a tainted receiver or argument taints the result.
-func (e *taintEngine) externalCallTaint(pkg *Package, call *ast.CallExpr) factSet {
-	return e.argOrRecvTaint(pkg, call)
+	// A function without a body in the module, or an indirect call
+	// through a variable or field: conservatively, whatever the function
+	// value, the receiver or an argument carries.
+	fs, _ := e.taintOf(pkg, call.Fun).merge(e.argOrRecvTaint(pkg, call))
+	return fs
 }
 
 // argOrRecvTaint unions the taints of a call's receiver and arguments.
@@ -490,8 +503,8 @@ func (e *taintEngine) argOrRecvTaint(pkg *Package, call *ast.CallExpr) factSet {
 
 // --- fact bookkeeping ---
 
-// setObjFacts unions facts into an object's set. Per-source first fact
-// wins: sets only grow, guaranteeing a monotone fixpoint.
+// setObjFacts unions facts into an object's set. Sets only grow,
+// guaranteeing a monotone fixpoint.
 func (e *taintEngine) setObjFacts(obj types.Object, fs factSet) {
 	if len(fs) == 0 || obj == nil {
 		return
@@ -503,42 +516,26 @@ func (e *taintEngine) setObjFacts(obj types.Object, fs factSet) {
 	}
 }
 
-func (e *taintEngine) setRetFacts(node ast.Node, fs factSet) {
-	if len(fs) == 0 {
-		return
+// setRetFacts adds facts to fn's result summary, except those passed in
+// through fn's own parameters: a call site's result gets those from its
+// own arguments, through fn's formals.
+func (e *taintEngine) setRetFacts(fn *FuncNode, fs factSet) {
+	var out factSet
+	for _, f := range fs {
+		if f.in != fn {
+			out = append(out, f)
+		}
 	}
-	merged, grew := e.retFacts[node].merge(fs)
-	if grew {
-		e.retFacts[node] = merged
+	if merged, grew := e.retFacts[fn.Node].merge(out); grew {
+		e.retFacts[fn.Node] = merged
 		e.changed = true
 	}
 }
 
-// hop crosses one call boundary, enforcing the depth bound per fact.
-// Exceeding it reports a give-up (once per position and source) and drops
-// that fact; the rest pass through one hop deeper.
-func (e *taintEngine) hop(fs factSet, pos token.Pos) factSet {
-	if len(fs) == 0 {
-		return nil
-	}
-	out := make(factSet, 0, len(fs))
-	for _, f := range fs {
-		if f.depth+1 > e.cfg.maxDepth {
-			key := [2]token.Pos{pos, f.src.pos}
-			if !e.gaveUp[key] {
-				e.gaveUp[key] = true
-				e.cfg.giveUp(pos, f.src)
-			}
-			continue
-		}
-		out = append(out, &taintFact{src: f.src, depth: f.depth + 1})
-	}
-	return out
-}
-
+// reportSink reports a real source reaching a sink, once per pair.
 func (e *taintEngine) reportSink(src *taintSource, sinkPos token.Pos, desc string) {
 	key := [2]token.Pos{src.pos, sinkPos}
-	if e.reported[key] {
+	if src.formal != nil || e.reported[key] {
 		return
 	}
 	e.reported[key] = true

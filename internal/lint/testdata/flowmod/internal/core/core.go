@@ -9,6 +9,9 @@ type ModelMeta struct {
 	Note    string
 }
 
+// LastStamp is a package variable written through its qualified name.
+var LastStamp string
+
 // TwoLevelModel carries a Save call sink for clockflow.
 type TwoLevelModel struct {
 	Meta ModelMeta

@@ -78,10 +78,10 @@ type Config struct {
 	MaxLimit int
 
 	// AIMDWindow is how many completions are averaged per limit
-	// adjustment. 0 disables adaptation entirely — fixed-limit fallback
-	// mode at InitialLimit. Default 32.
+	// adjustment (default 32, which zero or a negative value selects).
 	AIMDWindow int
-	// FixedLimit forces fallback mode even with a window configured.
+	// FixedLimit disables adaptation: the limit stays at InitialLimit
+	// (fixed-limit fallback mode), whatever the window.
 	FixedLimit bool
 	// TargetLatency is the AIMD setpoint: when a window's mean observed
 	// latency exceeds it the limit backs off multiplicatively, otherwise
@@ -136,13 +136,10 @@ func (c Config) withDefaults() Config {
 	if c.InitialLimit > c.MaxLimit {
 		c.InitialLimit = c.MaxLimit
 	}
-	if c.AIMDWindow < 0 {
-		c.AIMDWindow = 0
-	} else if c.AIMDWindow == 0 && !c.FixedLimit {
-		c.AIMDWindow = 32
-	}
 	if c.FixedLimit {
 		c.AIMDWindow = 0
+	} else if c.AIMDWindow <= 0 {
+		c.AIMDWindow = 32
 	}
 	if c.TargetLatency <= 0 {
 		c.TargetLatency = 100 * time.Millisecond

@@ -394,6 +394,10 @@ func TestConfigDefaults(t *testing.T) {
 	if f.AIMDWindow != 0 {
 		t.Fatalf("FixedLimit did not zero the window: %+v", f)
 	}
+	// FixedLimit is the one switch: a negative window takes the default.
+	if n := (Config{AIMDWindow: -1}).withDefaults(); n.AIMDWindow != 32 {
+		t.Fatalf("negative window = %d after defaults, want 32", n.AIMDWindow)
+	}
 }
 
 func TestShedErrorString(t *testing.T) {

@@ -17,12 +17,16 @@ import (
 // is final, so the repaired file re-opens to the same state with no
 // further TornTail. A partition is also read in two pieces, as a
 // Refresh reads a file that grew between scans, and must come out as a
-// one-pass read of the same bytes. The committed seeds (testdata/fuzz)
-// cover a valid file, a torn last line, a torn lone first line, a
-// malformed middle line, a record glued onto a torn line (what an
-// append that did not settle the tail first wrote), an empty file, and
-// splits inside a record and just before a newline; the over-long line is built here, because a
-// line past the scanner's 4 MiB limit is too large to commit.
+// one-pass read of the same bytes, and a journal that opens must replay
+// through Append into a fresh journal. The committed seeds
+// (testdata/fuzz) cover a valid file, a torn last line, a torn lone
+// first line, a malformed middle line, a record glued onto a torn line
+// (what an append that did not settle the tail first wrote), an empty
+// file, splits inside a record and just before a newline, and journal
+// entries that break Append's rule (a reused generation, an unknown
+// event, no app) next to a rollback that reuses one by design; the
+// over-long line is built here, because a line past the scanner's 4 MiB
+// limit is too large to commit.
 
 // overlongLine returns prefix followed by one line longer than
 // scanLines accepts.
@@ -183,6 +187,21 @@ func FuzzOpenJournal(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again.Entries(), entries) {
 			t.Fatal("re-open replayed different entries")
+		}
+
+		// OpenJournal and Append hold entries to one rule, so a journal
+		// that opens replays, entry by entry, into a fresh one.
+		replay, err := OpenJournal(filepath.Join(t.TempDir(), "replay.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range entries {
+			if err := replay.Append(e); err != nil {
+				t.Fatalf("entry %d opened, but Append refuses it: %v", i+1, err)
+			}
+		}
+		if !reflect.DeepEqual(replay.Entries(), entries) {
+			t.Fatal("the replayed journal holds different entries")
 		}
 	})
 }

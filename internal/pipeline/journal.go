@@ -71,8 +71,10 @@ type Journal struct {
 	torn    *TornTail // cut off by OpenJournal
 }
 
-// OpenJournal opens (or creates) the journal at path and replays it. A
-// torn last line is cut off the file and reported by Torn.
+// OpenJournal opens (or creates) the journal at path and replays it,
+// holding every entry to the rule Append enforces (checkEntry): a line
+// that breaks it is an error naming the file and line. A torn last line
+// is cut off the file and reported by Torn.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path}
 	f, err := os.Open(path)
@@ -84,7 +86,7 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	defer f.Close()
 	_, torn, err := scanLines(f, 0, func(b []byte) error {
-		e, err := parseEntry(b)
+		e, err := parseEntry(b, j.maxGen)
 		if err != nil {
 			return err
 		}
@@ -99,48 +101,58 @@ func OpenJournal(path string) (*Journal, error) {
 	return j, nil
 }
 
-// parseEntry parses one journal line.
-func parseEntry(b []byte) (Entry, error) {
+// parseEntry parses one journal line and checks it against the entries
+// before it, whose highest generation is maxGen.
+func parseEntry(b []byte, maxGen int) (Entry, error) {
 	var e Entry
-	err := json.Unmarshal(b, &e)
-	return e, err
+	if err := json.Unmarshal(b, &e); err != nil {
+		return Entry{}, err
+	}
+	return e, checkEntry(e, maxGen)
+}
+
+// checkEntry is the journal's one entry rule, for appends and replays
+// alike: a known event, an app, and a generation above maxGen, the
+// highest before it, except for a rollback, which references an older
+// generation by design.
+func checkEntry(e Entry, maxGen int) error {
+	switch e.Event {
+	case EventPromoted, EventRejected, EventRollback:
+	default:
+		return fmt.Errorf("journal entry with unknown event %q", e.Event)
+	}
+	if e.App == "" {
+		return fmt.Errorf("journal entry without app")
+	}
+	if e.Event != EventRollback && e.Gen <= maxGen {
+		return fmt.Errorf("journal entry reuses generation %d (max %d)", e.Gen, maxGen)
+	}
+	return nil
 }
 
 // Torn returns the torn last line OpenJournal cut off, or nil.
 func (j *Journal) Torn() *TornTail { return j.torn }
 
-// Append validates, persists (fsync), and records one entry. Entries
-// must not reuse a generation below the journal's high-water mark
-// except for rollbacks, which reference an older generation by design.
+// Append checks (checkEntry), persists (fsync), and records one entry.
 func (j *Journal) Append(e Entry) error {
-	switch e.Event {
-	case EventPromoted, EventRejected, EventRollback:
-	default:
-		return fmt.Errorf("pipeline: journal entry with unknown event %q", e.Event)
-	}
-	if e.App == "" {
-		return fmt.Errorf("pipeline: journal entry without app")
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if e.Event != EventRollback && e.Gen <= j.maxGen {
-		return fmt.Errorf("pipeline: journal entry reuses generation %d (max %d)", e.Gen, j.maxGen)
+	if err := checkEntry(e, j.maxGen); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
 	}
 	line, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
 	isEntry := func(b []byte) error {
-		_, err := parseEntry(b)
+		_, err := parseEntry(b, j.maxGen)
 		return err
 	}
 	if _, err := appendLines(j.path, append(line, '\n'), !fileExists(j.path), nil, 0, isEntry); err != nil {
 		return err
 	}
 	j.entries = append(j.entries, e)
-	if e.Gen > j.maxGen {
-		j.maxGen = e.Gen
-	}
+	j.maxGen = max(j.maxGen, e.Gen)
 	return nil
 }
 

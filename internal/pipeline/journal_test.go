@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -133,4 +134,53 @@ func TestJournalTornTailRecovery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOpenJournalChecksEveryEntry: OpenJournal holds each line to the
+// rule Append enforces (checkEntry), so a journal whose entries Append
+// would refuse is an error naming the file and the line, not a replayed
+// history. The inputs are the committed FuzzOpenJournal seeds.
+func TestOpenJournalChecksEveryEntry(t *testing.T) {
+	for _, tc := range []struct{ seed, wantErr string }{
+		{"reused-generation", "line 2: journal entry reuses generation 2 (max 2)"},
+		{"unknown-event", `line 1: journal entry with unknown event "renamed"`},
+		{"no-app", "line 1: journal entry without app"},
+		{"rollback-reuses-generation", ""},
+		{"valid", ""},
+	} {
+		t.Run(tc.seed, func(t *testing.T) {
+			path := writeFuzzFile(t, "journal.jsonl", fuzzSeed(t, "FuzzOpenJournal", tc.seed))
+			j, err := OpenJournal(path)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("OpenJournal = %v, want it to open", err)
+				}
+				if len(j.Entries()) == 0 {
+					t.Fatal("opened with no entries")
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), path+" "+tc.wantErr) {
+				t.Fatalf("OpenJournal = %v, want %s %s", err, path, tc.wantErr)
+			}
+		})
+	}
+}
+
+// fuzzSeed returns the bytes of the committed seed name of target.
+func fuzzSeed(t *testing.T, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("seed %s/%s is not one []byte value", target, name)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("seed %s/%s: %v", target, name, err)
+	}
+	return []byte(s)
 }

@@ -12,9 +12,10 @@ import (
 // The store's partitions and the journal are JSONL files that only ever
 // grow by appendLines, whole lines per write. A crash mid-append can
 // leave a torn last line: the front of a record with no newline. Readers
-// cut such a line off, so the next process can open the file and the
-// next append starts on a line of its own; a malformed line anywhere
-// else is still an error.
+// and appenders settle such a line the same way (settleTail): it is cut
+// off, so the next process can open the file and the next append starts
+// on a line of its own; a malformed line anywhere else is still an
+// error.
 
 // TornTail reports a torn last line a reader cut off a file.
 type TornTail struct {
@@ -51,7 +52,7 @@ func scanLines(f *os.File, from int64, fn func(line []byte) error) (int64, *Torn
 	})
 	for line := 1; sc.Scan(); line++ {
 		if !terminated {
-			return repairTail(f, start, end, sc.Bytes(), fn)
+			return repairTail(f, start, end, fn)
 		}
 		if len(sc.Bytes()) == 0 {
 			continue
@@ -70,16 +71,15 @@ func scanLines(f *os.File, from int64, fn func(line []byte) error) (int64, *Torn
 }
 
 // repairTail settles the unterminated last line [start, end) of f and
-// returns where the scan ends. Appenders hold an exclusive flock while
-// they write (appendLines), so under that lock a file that is still the
-// one f reads and still end bytes long ends in a line nobody is writing:
-// a crash cut it short. Such a line goes to fn; one fn accepts gets its
-// newline, one it rejects is truncated away and reported. A file that
-// grew or was replaced meanwhile had the line appended as it was read:
-// it is left alone, and the scan ends before it, for the next scan to
-// read whole.
-func repairTail(f *os.File, start, end int64, line []byte, fn func([]byte) error) (int64, *TornTail, error) {
-	w, err := os.OpenFile(f.Name(), os.O_WRONLY, 0)
+// returns where the scan ends. Appenders hold the file's lock while they
+// write (appendLines), so under that lock a file that is still the one f
+// reads and still end bytes long ends in a line nobody is writing: a
+// crash cut it short, and settleTail settles it, handing it to fn if it
+// parses. A file that grew or was replaced meanwhile had the line
+// appended as it was read: it is left alone, and the scan ends before
+// it, for the next scan to read whole.
+func repairTail(f *os.File, start, end int64, fn func([]byte) error) (int64, *TornTail, error) {
+	w, err := os.OpenFile(f.Name(), os.O_RDWR|os.O_APPEND, 0)
 	if os.IsNotExist(err) {
 		return start, nil, nil // removed meanwhile: the next scan finds it gone
 	}
@@ -87,10 +87,7 @@ func repairTail(f *os.File, start, end int64, line []byte, fn func([]byte) error
 		return 0, nil, err
 	}
 	defer w.Close() // releases the lock
-	if err := syscall.Flock(int(w.Fd()), syscall.LOCK_EX); err != nil {
-		return 0, nil, fmt.Errorf("pipeline: locking %s: %w", f.Name(), err)
-	}
-	wi, err := w.Stat()
+	wi, err := lockCurrent(w, f.Name())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -98,44 +95,72 @@ func repairTail(f *os.File, start, end int64, line []byte, fn func([]byte) error
 	if err != nil {
 		return 0, nil, err
 	}
-	if !os.SameFile(wi, ri) || wi.Size() != end {
+	if wi == nil || !os.SameFile(wi, ri) || wi.Size() != end {
 		return start, nil, nil
 	}
-	var cause error
-	if len(line) > 0 {
-		cause = fn(line)
+	settled, torn, err := settleTail(w, end, fn)
+	if err != nil {
+		return 0, nil, err
 	}
-	if cause == nil {
-		if _, err := w.WriteAt([]byte{'\n'}, end); err != nil {
+	return settled, torn, w.Sync()
+}
+
+// settleTail settles the unterminated last line of f, which the caller
+// has locked (lockCurrent) and which is size bytes long, for readers
+// (repairTail) and appenders (appendLines) alike, and returns the file's
+// length after. A line parse accepts gets its newline; any other is a
+// torn line, cut off and reported. A file that is empty or ends in a
+// newline is left as it is. f must be open for reading and appending.
+func settleTail(f *os.File, size int64, parse func([]byte) error) (int64, *TornTail, error) {
+	var last [1]byte
+	if size == 0 {
+		return 0, nil, nil
+	}
+	if _, err := f.ReadAt(last[:], size-1); err != nil {
+		return 0, nil, err
+	}
+	if last[0] == '\n' {
+		return size, nil, nil
+	}
+	start := size // the unterminated line is [start, size)
+	var line []byte
+	for start > 0 && bytes.IndexByte(line, '\n') < 0 {
+		n := min(start, 64<<10)
+		chunk := make([]byte, n)
+		if _, err := f.ReadAt(chunk, start-n); err != nil {
 			return 0, nil, err
 		}
-		return end + 1, nil, w.Sync()
+		line, start = append(chunk, line...), start-n
 	}
-	if err := w.Truncate(start); err != nil {
+	if i := bytes.LastIndexByte(line, '\n'); i >= 0 {
+		line, start = line[i+1:], start+int64(i)+1
+	}
+	cause := parse(line)
+	if cause == nil {
+		_, err := f.Write([]byte{'\n'})
+		return size + 1, nil, err
+	}
+	if err := f.Truncate(start); err != nil {
 		return 0, nil, err
 	}
-	if err := w.Sync(); err != nil {
-		return 0, nil, err
-	}
-	return start, &TornTail{Path: f.Name(), Offset: start, Bytes: end - start, Err: cause}, nil
+	return start, &TornTail{Path: f.Name(), Offset: start, Bytes: size - start, Err: cause}, nil
 }
 
 // appendLines appends buf, whole newline-terminated lines, to the file at
 // path with one write and makes it durable with one fsync: the one write
 // path of the store and the journal. create makes a new file, which must
-// not exist yet. The write happens under an exclusive flock, so a reader
-// repairing a torn tail never mistakes lines in flight for one (see
-// repairTail), and only into the file path names once the lock is held,
-// so lines never land in a file a reader removed (removeUnchanged) or a
-// Compact replaced while the appender waited. A file that ends in an
-// unterminated line (a crashed appender's, not read yet) has it settled
-// first, as repairTail would: a line parse accepts gets its newline,
-// ahead of buf in the same write; any other is cut off, so buf never
-// glues onto a torn line. appendLines reports whether, under the lock,
-// the file was view and off bytes long once settled (a new file counts
-// as caught up): whether the caller's view of the file had reached its
-// end. A write or fsync that fails is undone, so the caller's error
-// means the lines are gone.
+// not exist yet. The write happens under the file's lock (lockCurrent),
+// so a reader repairing a torn tail never mistakes lines in flight for
+// one (see repairTail), and only into the file path names once the lock
+// is held, so lines never land in a file a reader removed
+// (removeUnchanged) or a Compact replaced while the appender waited. A
+// file that ends in an unterminated line (a crashed appender's, not read
+// yet) has it settled first (settleTail), with parse, so buf never glues
+// onto a torn line. appendLines reports whether, under the lock, the
+// file was view and off bytes long once settled (a new file counts as
+// caught up): whether the caller's view of the file had reached its end.
+// A write or fsync that fails is undone, so the caller's error means the
+// lines are gone.
 func appendLines(path string, buf []byte, create bool, view os.FileInfo, off int64, parse func([]byte) error) (caughtUp bool, err error) {
 	flags := os.O_RDWR | os.O_APPEND
 	if create {
@@ -146,62 +171,20 @@ func appendLines(path string, buf []byte, create bool, view os.FileInfo, off int
 		if err != nil {
 			return false, err
 		}
-		// The lock-and-check of lockCurrent, spelled out: journal entries
-		// reach this function, and repolint's taint analysis merges the
-		// results of a helper over all its callers, so sharing lockCurrent
-		// with the store's readers would carry the journal's timestamps
-		// into the store index.
-		if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
-			_ = f.Close() // the locking error is the one worth reporting
-			return false, fmt.Errorf("pipeline: locking %s: %w", path, err)
-		}
-		before, err := f.Stat()
-		if err != nil {
-			_ = f.Close()
-			return false, err
-		}
-		if cur, err := os.Stat(path); err != nil || !os.SameFile(before, cur) {
+		before, err := lockCurrent(f, path)
+		if err != nil || before == nil {
 			_ = f.Close() // only read: nothing was written to it
-			if err != nil && !os.IsNotExist(err) {
+			if err != nil {
 				return false, err
 			}
 			continue // removed or replaced while this appender waited
 		}
-		// Settle an unterminated last line, inline for the reason above.
-		size := before.Size()
-		var last [1]byte
-		if size > 0 {
-			if _, err := f.ReadAt(last[:], size-1); err != nil {
-				_ = f.Close()
-				return false, err
-			}
+		size, _, err := settleTail(f, before.Size(), parse)
+		if err != nil {
+			_ = f.Close()
+			return false, err
 		}
-		if size > 0 && last[0] != '\n' {
-			start := size // the unterminated line is [start, size)
-			var line []byte
-			for start > 0 && bytes.IndexByte(line, '\n') < 0 {
-				n := min(start, 64<<10)
-				chunk := make([]byte, n)
-				if _, err := f.ReadAt(chunk, start-n); err != nil {
-					_ = f.Close()
-					return false, err
-				}
-				line, start = append(chunk, line...), start-n
-			}
-			if i := bytes.LastIndexByte(line, '\n'); i >= 0 {
-				line, start = line[i+1:], start+int64(i)+1
-			}
-			if parse(line) == nil {
-				buf = append([]byte{'\n'}, buf...)
-			} else if err := f.Truncate(start); err != nil {
-				_ = f.Close()
-				return false, err
-			} else {
-				size = start
-			}
-		}
-		_, err = f.Write(buf)
-		if err == nil {
+		if _, err = f.Write(buf); err == nil {
 			err = f.Sync()
 		}
 		if err != nil {
@@ -220,6 +203,8 @@ func appendLines(path string, buf []byte, create bool, view os.FileInfo, off int
 
 // lockCurrent takes the exclusive flock on f, opened from path, and
 // returns f's state under the lock; nil when path no longer names f.
+// It holds the package's only flock: appenders, tail repairs, Compact
+// and removeUnchanged all lock through it.
 func lockCurrent(f *os.File, path string) (os.FileInfo, error) {
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
 		return nil, fmt.Errorf("pipeline: locking %s: %w", path, err)

@@ -495,7 +495,7 @@ func TestRepairTailLeavesLineInFlight(t *testing.T) {
 	defer f.Close()
 	called := false
 	// As read, the file ended 3 bytes into its second line.
-	end, torn, err := repairTail(f, 8, 11, []byte(`{"a`), func([]byte) error { called = true; return nil })
+	end, torn, err := repairTail(f, 8, 11, func([]byte) error { called = true; return nil })
 	if err != nil || torn != nil || end != 8 || called {
 		t.Fatalf("repairTail = %d, %v, %v (line handed on: %v), want the scan to end at 8", end, torn, err, called)
 	}
